@@ -597,6 +597,7 @@ pub struct ScenarioPool {
     enabled: bool,
     events: u64,
     overflow: u64,
+    cut_through: u64,
     recycled: u64,
     fresh: u64,
 }
@@ -609,6 +610,7 @@ impl ScenarioPool {
             enabled: true,
             events: 0,
             overflow: 0,
+            cut_through: 0,
             recycled: 0,
             fresh: 0,
         }
@@ -655,6 +657,14 @@ impl ScenarioPool {
         self.overflow
     }
 
+    /// Cut-through hops absorbed from recycled scenarios so far
+    /// ([`Simulator::cut_through_hops`], banked by
+    /// [`ScenarioPool::recycle`] alongside the event count): the pipe
+    /// crossings that no longer show up as events.
+    pub fn cut_through_absorbed(&self) -> u64 {
+        self.cut_through
+    }
+
     fn checkout(&mut self, seed: u64) -> Simulator {
         match self.sim.take() {
             Some(mut sim) if self.enabled => {
@@ -677,6 +687,7 @@ impl ScenarioPool {
         let sim = scenario.prober.into_sim();
         self.events += sim.events_processed();
         self.overflow += sim.overflow_events();
+        self.cut_through += sim.cut_through_hops();
         if self.enabled {
             self.sim = Some(sim);
         }
@@ -966,6 +977,7 @@ mod tests {
         }
         assert_eq!(pool.recycled(), 3, "first build had nothing to recycle");
         assert!(pool.events_absorbed() > 0);
+        assert!(pool.cut_through_absorbed() > 0);
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! sliding window, leaving pops to drain one small bucket at a time:
 //! amortized O(1) per event, with the event payload moved once.
 //!
-//! Determinism contract: pops come out in exactly `(time, seq)` order —
-//! the same total order the previous `BinaryHeap<Reverse<Event>>`
-//! produced — so time ties keep breaking by insertion sequence and
-//! golden traces survive the swap. Events beyond the window go to an
-//! ordered overflow heap (the far-future fallback) and are compared
-//! against the wheel on every pop, so no ordering is lost when the
-//! window slides.
+//! Determinism contract: pops come out in exactly `(time, pushed, seq)`
+//! order. While `pushed` is the clock at push time, which never
+//! decreases as `seq` grows, that is the `(time, seq)` order the
+//! previous `BinaryHeap<Reverse<Event>>` produced, so time ties keep
+//! breaking by insertion sequence and golden traces survive the swap.
+//! Events beyond the window go to an ordered overflow heap (the
+//! far-future fallback) and are compared against the wheel on every
+//! pop, so no ordering is lost when the window slides.
 //!
 //! Tuning (measured on the 1000-host campaign, which mixes sub-µs LAN
 //! bursts with 5–120 ms WAN lulls): bucket width 2^21 ns ≈ 2 ms with a
@@ -41,16 +42,17 @@ const NBUCKETS: usize = 256;
 /// Occupancy bitmap words.
 const NWORDS: usize = NBUCKETS / 64;
 
-/// One scheduled item: the key `(time, seq)` plus the payload.
+/// One scheduled item: the key `(time, pushed, seq)` plus the payload.
 struct Entry<T> {
     time: SimTime,
+    pushed: SimTime,
     seq: u64,
     item: T,
 }
 
 impl<T> Entry<T> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+    fn key(&self) -> (SimTime, SimTime, u64) {
+        (self.time, self.pushed, self.seq)
     }
 }
 
@@ -79,13 +81,13 @@ fn slot_of(bucket: u64) -> usize {
     bucket as usize & (NBUCKETS - 1)
 }
 
-/// A calendar queue yielding items in exact `(time, seq)` order.
+/// A calendar queue yielding items in exact `(time, pushed, seq)` order.
 ///
 /// `clear` retains every bucket allocation, so a reset simulator reuses
 /// the scheduler's memory — the pooling fast path.
 pub(crate) struct CalendarQueue<T> {
     /// The ring. Buckets are unsorted until the cursor reaches them;
-    /// the cursor's bucket is kept sorted *descending* by `(time, seq)`
+    /// the cursor's bucket is kept sorted *descending* by key
     /// so pops come off the back.
     buckets: Vec<Vec<Entry<T>>>,
     /// One bit per non-empty bucket, for O(1)-ish cursor advances.
@@ -104,7 +106,7 @@ pub(crate) struct CalendarQueue<T> {
     /// Memoized key of the earliest entry. The engine peeks two or
     /// three times per pop (deadline checks wrap the event loop), so
     /// the ring scan is paid once per structural change instead.
-    min_cache: Cell<Option<(SimTime, u64)>>,
+    min_cache: Cell<Option<(SimTime, SimTime, u64)>>,
     /// Pushes routed to the overflow heap since construction or
     /// [`CalendarQueue::clear`] — the telemetry counter for "how often
     /// does traffic fall off the wheel" (each such push costs a heap
@@ -157,11 +159,11 @@ impl<T> CalendarQueue<T> {
         self.overflow_pushes
     }
 
-    /// Schedule `item` at `time` with tiebreak `seq`. `now` is the
-    /// caller's clock; `time >= now` is required (events are never
+    /// Schedule `item` at `time` with tiebreak `(pushed, seq)`. `now` is
+    /// the caller's clock; `time >= now` is required (events are never
     /// scheduled in the past) and lets an empty wheel re-anchor its
     /// window at the present.
-    pub fn push(&mut self, now: SimTime, time: SimTime, seq: u64, item: T) {
+    pub fn push(&mut self, now: SimTime, time: SimTime, pushed: SimTime, seq: u64, item: T) {
         debug_assert!(time >= now, "event scheduled in the past");
         if self.wheel_len == 0 {
             // Empty wheel: re-anchor the window at the present so the
@@ -171,7 +173,12 @@ impl<T> CalendarQueue<T> {
             self.sorted_bucket = None;
         }
         let b = bucket_of(time);
-        let entry = Entry { time, seq, item };
+        let entry = Entry {
+            time,
+            pushed,
+            seq,
+            item,
+        };
         self.len += 1;
         if let Some(cached) = self.min_cache.get() {
             if entry.key() < cached {
@@ -205,7 +212,7 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Key of the earliest entry, without disturbing the queue.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+    pub fn peek_key(&self) -> Option<(SimTime, SimTime, u64)> {
         if self.is_empty() {
             return None;
         }
@@ -268,14 +275,14 @@ impl<T> CalendarQueue<T> {
             self.occupancy[s / 64] &= !(1 << (s % 64));
         } else {
             // The bucket stays sorted, so the next minimum is known.
-            self.min_cache.set(Some(
-                self.buckets[s].last().expect("non-empty").key().min(
-                    self.overflow
-                        .peek()
-                        .map(|Reverse(o)| o.key())
-                        .unwrap_or((SimTime::MAX, u64::MAX)),
-                ),
-            ));
+            self.min_cache
+                .set(Some(self.buckets[s].last().expect("non-empty").key().min(
+                    self.overflow.peek().map(|Reverse(o)| o.key()).unwrap_or((
+                        SimTime::MAX,
+                        SimTime::MAX,
+                        u64::MAX,
+                    )),
+                )));
         }
         Some((e.time, e.seq, e.item))
     }
@@ -357,8 +364,13 @@ mod tests {
                 heap: BinaryHeap::new(),
             }
         }
-        fn push(&mut self, time: SimTime, seq: u64, item: u32) {
-            self.heap.push(Reverse(Entry { time, seq, item }));
+        fn push(&mut self, time: SimTime, pushed: SimTime, seq: u64, item: u32) {
+            self.heap.push(Reverse(Entry {
+                time,
+                pushed,
+                seq,
+                item,
+            }));
         }
         fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
             self.heap.pop().map(|Reverse(e)| (e.time, e.seq, e.item))
@@ -369,13 +381,25 @@ mod tests {
     fn pops_in_time_then_seq_order() {
         let mut q = CalendarQueue::new();
         let t = SimTime::from_micros(5);
-        q.push(SimTime::ZERO, t, 1, "b");
-        q.push(SimTime::ZERO, t, 0, "a");
-        q.push(SimTime::ZERO, SimTime::from_micros(1), 7, "first");
-        assert_eq!(q.peek_key(), Some((SimTime::from_micros(1), 7)));
+        q.push(SimTime::ZERO, t, SimTime::ZERO, 1, "b");
+        q.push(SimTime::ZERO, t, SimTime::ZERO, 0, "a");
+        // Pushed as of a later clock: after both, despite its seq.
+        q.push(SimTime::ZERO, t, SimTime::from_micros(2), 0, "c");
+        q.push(
+            SimTime::ZERO,
+            SimTime::from_micros(1),
+            SimTime::ZERO,
+            7,
+            "first",
+        );
+        assert_eq!(
+            q.peek_key(),
+            Some((SimTime::from_micros(1), SimTime::ZERO, 7))
+        );
         assert_eq!(q.pop().unwrap().2, "first");
         assert_eq!(q.pop().unwrap().2, "a");
         assert_eq!(q.pop().unwrap().2, "b");
+        assert_eq!(q.pop().unwrap().2, "c");
         assert!(q.pop().is_none());
         assert!(q.is_empty());
     }
@@ -385,9 +409,16 @@ mod tests {
         let mut q = CalendarQueue::new();
         // Delayed-ACK-style timer far beyond the window, then near
         // traffic pushed while it waits.
-        q.push(SimTime::ZERO, SimTime::from_millis(200), 0, 200);
+        q.push(
+            SimTime::ZERO,
+            SimTime::from_millis(200),
+            SimTime::ZERO,
+            0,
+            200,
+        );
         for i in 0..50u64 {
-            q.push(SimTime::ZERO, SimTime::from_micros(i * 30), i + 1, i as u32);
+            let t = SimTime::from_micros(i * 30);
+            q.push(SimTime::ZERO, t, SimTime::ZERO, i + 1, i as u32);
         }
         let mut times = Vec::new();
         while let Some((t, _, _)) = q.pop() {
@@ -422,8 +453,15 @@ mod tests {
                         _ => rng.gen_range(0..400_000_000),   // overflow
                     };
                     let t = now + std::time::Duration::from_nanos(delay_ns);
-                    cal.push(now, t, seq, seq as u32);
-                    reference.push(t, seq, seq as u32);
+                    // Mostly pushed as of `now`; some as of a later clock
+                    // before `t` (the engine's cut-through deliveries).
+                    let pushed_at = if rng.gen_bool(0.2) {
+                        now + std::time::Duration::from_nanos(rng.gen_range(0..=delay_ns))
+                    } else {
+                        now
+                    };
+                    cal.push(now, t, pushed_at, seq, seq as u32);
+                    reference.push(t, pushed_at, seq, seq as u32);
                     seq += 1;
                     pushed += 1;
                 }
@@ -458,13 +496,13 @@ mod tests {
     #[test]
     fn clear_retains_order_semantics() {
         let mut q = CalendarQueue::new();
-        q.push(SimTime::ZERO, SimTime::from_secs(5), 0, 1);
-        q.push(SimTime::ZERO, SimTime::from_micros(1), 1, 2);
+        q.push(SimTime::ZERO, SimTime::from_secs(5), SimTime::ZERO, 0, 1);
+        q.push(SimTime::ZERO, SimTime::from_micros(1), SimTime::ZERO, 1, 2);
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_key(), None);
         // Reusable after clear, from time zero again.
-        q.push(SimTime::ZERO, SimTime::from_micros(3), 0, 9);
+        q.push(SimTime::ZERO, SimTime::from_micros(3), SimTime::ZERO, 0, 9);
         assert_eq!(q.pop(), Some((SimTime::from_micros(3), 0, 9)));
     }
 
@@ -473,14 +511,14 @@ mod tests {
         let mut q = CalendarQueue::new();
         // Advance deep into simulated time before the first push.
         let now = SimTime::from_secs(3600);
-        q.push(now, now + std::time::Duration::from_micros(10), 0, 1);
+        q.push(now, now + std::time::Duration::from_micros(10), now, 0, 1);
         assert_eq!(
             q.pop().map(|(t, _, _)| t),
             Some(now + std::time::Duration::from_micros(10))
         );
         // And far-future first push migrates back cleanly.
-        q.push(now, now + std::time::Duration::from_secs(100), 1, 2);
-        q.push(now, now + std::time::Duration::from_secs(50), 2, 3);
+        q.push(now, now + std::time::Duration::from_secs(100), now, 1, 2);
+        q.push(now, now + std::time::Duration::from_secs(50), now, 2, 3);
         assert_eq!(q.pop().map(|(_, _, i)| i), Some(3));
         assert_eq!(q.pop().map(|(_, _, i)| i), Some(2));
     }

@@ -1,9 +1,48 @@
 //! The discrete-event engine: nodes, ports, links, timers, taps.
 //!
 //! Determinism is a hard requirement — every experiment in the paper is
-//! reproduced from a seed — so the event queue breaks time ties by
-//! insertion order, devices draw randomness only from labeled streams
-//! (see [`crate::rng`]), and nothing reads the host clock.
+//! reproduced from a seed — so the event queue breaks time ties by push
+//! time, then insertion order, devices draw randomness only from
+//! labeled streams (see [`crate::rng`]), and nothing reads the host
+//! clock.
+//!
+//! # Cut-through forwarding
+//!
+//! Most in-path stages preserve order: i.i.d. loss, a constant delay,
+//! a swap pipe's zero-probability direction. Running them as events
+//! costs one dispatch per packet per stage (two for a delay stage,
+//! whose timer is a second event) while changing nothing a timer or
+//! another port could observe. Such a device can instead answer
+//! [`Device::cut_through`], and the engine then evaluates it at
+//! transmit time: it offers the packet to the link, asks the next
+//! node for its verdict, offers again at `arrival + delay`, and so on,
+//! pushing one delivery event at the first node that needs one.
+//!
+//! The contract that keeps this byte-identical to the event path:
+//!
+//! * **per-port** — the verdict depends only on the device's own state
+//!   for the arrival port, never on its other ports, and nothing else
+//!   (no other port, no timer) transmits on the port it forwards to;
+//! * **order-only** — that state may depend on the order of packets on
+//!   the port but not on *when* they arrive: no `ctx.now()`, no timers;
+//! * **constant delay** — one fixed delay per port, so the stage stays
+//!   FIFO and every downstream link sees the same offers, in the same
+//!   order, at the same times as on the event path;
+//! * **no generated packets** — a verdict forwards or drops the one
+//!   packet; it never emits, duplicates or holds one;
+//! * **static** — whether a port answers `Some` is fixed by the
+//!   device's configuration, not decided packet by packet.
+//!
+//! The delivery event at the end of a chain is pushed early, but it is
+//! ordered among same-time events by the time its last hop would have
+//! pushed it, so ties fire in event-path order too (up to events pushed
+//! at that very instant, which it precedes).
+//!
+//! Taps force the event path: a node with an rx or tx tap is always
+//! delivered to as an event, so ground-truth captures (§IV-A) record
+//! exactly what they did before. Chains are cut after
+//! `MAX_CUT_THROUGH_HOPS` nodes (a ring of forwarders would otherwise
+//! never terminate); the node at the bound takes an ordinary event.
 
 use crate::calendar::CalendarQueue;
 use crate::capture::{Dir, TraceHandle, TraceRecord};
@@ -34,11 +73,46 @@ pub trait Device {
     /// A timer set via [`Ctx::set_timer`] fired.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
 
+    /// Evaluate a packet arriving on `port` at transmit time instead of
+    /// as an event (see the module docs for the contract). `None`, the
+    /// default, means the port needs an event. A device answering `Some`
+    /// must make [`Device::on_packet`] take the same decision, through
+    /// the same code, so the event path (taken when the node is tapped)
+    /// and the cut-through path cannot drift.
+    ///
+    /// The verdict may use only the device's per-port state and the
+    /// order of packets on that port — never the time, a timer or
+    /// another port — must carry one constant delay per port, and must
+    /// not generate packets.
+    fn cut_through(&mut self, _port: Port, _pkt: &Packet) -> Option<CutThrough> {
+        None
+    }
+
     /// Diagnostic name.
     fn name(&self) -> &str {
         "device"
     }
 }
+
+/// A device's transmit-time verdict on one packet
+/// ([`Device::cut_through`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CutThrough {
+    /// Transmit the packet out of `port` after `delay`.
+    Forward {
+        /// Outgoing port.
+        port: Port,
+        /// Constant per-port delay before transmission.
+        delay: Duration,
+    },
+    /// Drop the packet.
+    Drop,
+}
+
+/// Longest chain of cut-through nodes one transmission walks before
+/// the next node is handed an ordinary delivery event. Real paths chain
+/// a handful of stages; the bound only stops forwarding rings.
+const MAX_CUT_THROUGH_HOPS: u64 = 64;
 
 /// What a device may do while handling an event.
 #[derive(Debug)]
@@ -113,6 +187,7 @@ pub struct Simulator {
     tx_taps: Vec<Vec<TraceHandle>>,
     scratch: Vec<Action>,
     events: u64,
+    cut_through_hops: u64,
     /// Count of packets dropped by full link queues (all links).
     pub link_drops: u64,
 }
@@ -138,6 +213,7 @@ impl Simulator {
             tx_taps: Vec::new(),
             scratch: Vec::new(),
             events: 0,
+            cut_through_hops: 0,
             link_drops: 0,
         }
     }
@@ -159,6 +235,7 @@ impl Simulator {
         self.rx_taps.clear();
         self.tx_taps.clear();
         self.events = 0;
+        self.cut_through_hops = 0;
         self.link_drops = 0;
     }
 
@@ -167,6 +244,15 @@ impl Simulator {
     /// perf harness.
     pub fn events_processed(&self) -> u64 {
         self.events
+    }
+
+    /// Cut-through verdicts taken since construction (or the last
+    /// [`Simulator::reset`]): each one is a node a packet crossed at
+    /// transmit time instead of as a delivery event (see the module
+    /// docs). With [`Simulator::events_processed`] it accounts for the
+    /// per-packet work the event count no longer shows.
+    pub fn cut_through_hops(&self) -> u64 {
+        self.cut_through_hops
     }
 
     /// Events currently queued (diagnostics).
@@ -280,18 +366,14 @@ impl Simulator {
 
     /// Time of the next pending event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_key().map(|(t, _)| t)
+        self.queue.peek_key().map(|(t, ..)| t)
     }
 
     /// Run until the queue is empty or the next event lies beyond
     /// `horizon`; the clock then advances to `horizon` (so repeated calls
     /// make steady progress even with no traffic).
     pub fn run_until(&mut self, horizon: SimTime) {
-        while let Some((t, _)) = self.queue.peek_key() {
-            if t > horizon {
-                break;
-            }
-            let (time, _, kind) = self.queue.pop().expect("peeked");
+        while let Some((time, kind)) = self.pop_due(horizon) {
             debug_assert!(time >= self.now, "time went backwards");
             self.now = time;
             self.dispatch(kind);
@@ -317,10 +399,28 @@ impl Simulator {
         }
     }
 
+    /// Pop the earliest event if it is due by `horizon`.
+    fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
+        match self.queue.peek_key() {
+            Some((t, ..)) if t <= horizon => self.queue.pop().map(|(t, _, kind)| (t, kind)),
+            _ => None,
+        }
+    }
+
     fn push(&mut self, time: SimTime, kind: EventKind) {
+        self.push_from(self.now, time, kind);
+    }
+
+    /// Schedule `kind` at `time` as if pushed at `pushed`. Ties at one
+    /// `time` break by push time, then by push order. Event-path pushes
+    /// happen at `now`, which never decreases, so for them this is plain
+    /// insertion order; a cut-through delivery passes the time its last
+    /// hop would have pushed it as an event, and so keeps the place
+    /// among same-time events that it has on the event path.
+    fn push_from(&mut self, pushed: SimTime, time: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(self.now, time, seq, kind);
+        self.queue.push(self.now, time, pushed, seq, kind);
     }
 
     fn record_rx(&self, node: NodeId, port: Port, pkt: &Packet) {
@@ -347,29 +447,62 @@ impl Simulator {
         }
     }
 
+    /// Offer `pkt` to the link out of `node`'s `port`, then walk the
+    /// chain of untapped cut-through nodes behind it (module docs):
+    /// each verdict is applied at the packet's arrival time there, and
+    /// one delivery event is pushed at the first node that needs one.
     fn do_transmit(&mut self, node: NodeId, port: Port, pkt: Packet) {
-        let Some(end) = self.links[node.0].get_mut(port.0).and_then(Option::as_mut) else {
-            panic!(
-                "node {} ({node:?}) transmitted on unwired port {port:?}",
-                self.names[node.0]
-            );
-        };
-        match end.state.offer(self.now, pkt.wire_len()) {
-            Offer::Arrives(at) => {
-                let (peer, peer_port) = end.peer;
-                self.push(
-                    at,
-                    EventKind::Deliver {
-                        node: peer,
-                        port: peer_port,
-                        pkt,
-                    },
+        let (mut node, mut port, mut now) = (node, port, self.now);
+        let mut hops = 0;
+        loop {
+            let Some(end) = self.links[node.0].get_mut(port.0).and_then(Option::as_mut) else {
+                panic!(
+                    "node {} ({node:?}) transmitted on unwired port {port:?}",
+                    self.names[node.0]
                 );
-            }
-            Offer::Dropped => {
-                self.link_drops += 1;
+            };
+            let at = match end.state.offer(now, pkt.wire_len()) {
+                Offer::Arrives(at) => at,
+                Offer::Dropped => {
+                    self.link_drops += 1;
+                    break;
+                }
+            };
+            let (peer, peer_port) = end.peer;
+            let verdict = if hops < MAX_CUT_THROUGH_HOPS
+                && self.rx_taps[peer.0].is_empty()
+                && self.tx_taps[peer.0].is_empty()
+            {
+                self.nodes[peer.0]
+                    .as_mut()
+                    .and_then(|dev| dev.cut_through(peer_port, &pkt))
+            } else {
+                None
+            };
+            match verdict {
+                Some(CutThrough::Forward { port: out, delay }) => {
+                    hops += 1;
+                    (node, port, now) = (peer, out, at + delay);
+                }
+                Some(CutThrough::Drop) => {
+                    hops += 1;
+                    break;
+                }
+                None => {
+                    self.push_from(
+                        now,
+                        at,
+                        EventKind::Deliver {
+                            node: peer,
+                            port: peer_port,
+                            pkt,
+                        },
+                    );
+                    break;
+                }
             }
         }
+        self.cut_through_hops += hops;
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -603,6 +736,64 @@ mod tests {
         }
         sim.run_until_idle(SimTime::from_secs(1));
         assert_eq!(sim.events_processed(), 7);
+    }
+
+    #[test]
+    fn cut_through_matches_tapped_event_path() {
+        // sink <- fwd <- src: the same arrival either way; untapped, the
+        // forwarder is crossed at transmit time instead of as an event.
+        fn run(tap: bool) -> (Vec<SimTime>, u64, u64) {
+            let mut sim = Simulator::new(0);
+            let rx = Rc::new(RefCell::new(Vec::new()));
+            let src = sim.add_node(Box::new(Echo));
+            let fwd = sim.add_node(Box::new(crate::pipes::Forwarder::new()));
+            let sink = sim.add_node(Box::new(Sink(rx.clone())));
+            sim.connect(src, Port(0), fwd, Port(0), LinkParams::wan());
+            sim.connect(fwd, Port(1), sink, Port(0), LinkParams::lan());
+            if tap {
+                sim.tap_rx(fwd);
+            }
+            for i in 0..3 {
+                sim.transmit_from(src, Port(0), probe(i));
+            }
+            sim.run_until_idle(SimTime::from_secs(1));
+            let times = rx.borrow().iter().map(|(t, _)| *t).collect();
+            (times, sim.events_processed(), sim.cut_through_hops())
+        }
+        let (event_times, event_count, event_hops) = run(true);
+        let (cut_times, cut_count, cut_hops) = run(false);
+        assert_eq!(cut_times, event_times);
+        assert_eq!((event_count, event_hops), (6, 0));
+        assert_eq!((cut_count, cut_hops), (3, 3));
+    }
+
+    #[test]
+    fn cut_through_ring_stops_at_hop_bound() {
+        // Four forwarders wired in a ring: a packet circulates forever,
+        // so each transmission may walk only MAX_CUT_THROUGH_HOPS nodes
+        // before the next one takes an ordinary event.
+        let mut sim = Simulator::new(0);
+        let ring: Vec<NodeId> = (0..4)
+            .map(|_| sim.add_node(Box::new(crate::pipes::Forwarder::new())))
+            .collect();
+        for (i, &a) in ring.iter().enumerate() {
+            let b = ring[(i + 1) % ring.len()];
+            sim.connect(a, Port(1), b, Port(0), LinkParams::lan());
+        }
+        sim.transmit_from(ring[0], Port(1), probe(1));
+        assert_eq!(sim.cut_through_hops(), MAX_CUT_THROUGH_HOPS);
+        assert_eq!(sim.pending_events(), 1);
+        for round in 2..=3 {
+            let next = sim
+                .next_event_time()
+                .expect("the packet is still in flight");
+            sim.run_until(next);
+            assert_eq!(sim.events_processed(), round - 1);
+            assert_eq!(sim.cut_through_hops(), round * MAX_CUT_THROUGH_HOPS);
+            assert_eq!(sim.pending_events(), 1);
+        }
+        sim.reset(0);
+        assert_eq!(sim.cut_through_hops(), 0);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod rng;
 pub mod time;
 
 pub use capture::{Dir, Trace, TraceHandle, TraceRecord};
-pub use engine::{Ctx, Device, NodeId, Port, Simulator};
+pub use engine::{Ctx, CutThrough, Device, NodeId, Port, Simulator};
 pub use link::{LinkParams, LinkState, Offer};
 pub use mailbox::{drain, Mailbox, MailboxQueue, RxPacket};
 pub use time::{serialization_delay, SimTime};

@@ -9,7 +9,7 @@
 //! which case no swap happens.
 
 use super::other;
-use crate::engine::{Ctx, Device, Port};
+use crate::engine::{Ctx, CutThrough, Device, Port};
 use crate::rng;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -109,8 +109,11 @@ impl DummynetReorder {
 
 impl Device for DummynetReorder {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+        if let Some(CutThrough::Forward { port, .. }) = self.cut_through(port, &pkt) {
+            ctx.transmit(port, pkt);
+            return;
+        }
         let dir = port.0;
-        assert!(dir < 2, "dummynet pipe has two ports");
         let out = other(port);
         let st = &mut self.dirs[dir];
         if let Some((_, held)) = st.held.take() {
@@ -131,6 +134,19 @@ impl Device for DummynetReorder {
         } else {
             ctx.transmit(out, pkt);
         }
+    }
+
+    /// A zero-probability direction never holds a packet, so it is a
+    /// plain forwarder; a swapping direction needs its events.
+    fn cut_through(&mut self, port: Port, _pkt: &Packet) -> Option<CutThrough> {
+        assert!(port.0 < 2, "dummynet pipe has two ports");
+        if self.dirs[port.0].prob > 0.0 {
+            return None;
+        }
+        Some(CutThrough::Forward {
+            port: other(port),
+            delay: Duration::ZERO,
+        })
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

@@ -2,8 +2,9 @@
 //! monitoring point and as the no-op arm of A/B scenarios.
 
 use super::other;
-use crate::engine::{Ctx, Device, Port};
+use crate::engine::{Ctx, CutThrough, Device, Port};
 use reorder_wire::Packet;
+use std::time::Duration;
 
 /// Forwards everything between ports 0 and 1 unchanged.
 #[derive(Debug, Default)]
@@ -21,8 +22,17 @@ impl Forwarder {
 
 impl Device for Forwarder {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+        if let Some(CutThrough::Forward { port, .. }) = self.cut_through(port, &pkt) {
+            ctx.transmit(port, pkt);
+        }
+    }
+
+    fn cut_through(&mut self, port: Port, _pkt: &Packet) -> Option<CutThrough> {
         self.forwarded += 1;
-        ctx.transmit(other(port), pkt);
+        Some(CutThrough::Forward {
+            port: other(port),
+            delay: Duration::ZERO,
+        })
     }
 
     fn name(&self) -> &str {

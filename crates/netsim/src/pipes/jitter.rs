@@ -5,7 +5,7 @@
 
 use super::other;
 use super::token::TokenStore;
-use crate::engine::{Ctx, Device, Port};
+use crate::engine::{Ctx, CutThrough, Device, Port};
 use crate::rng;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -35,20 +35,37 @@ impl DelayJitter {
             pending: TokenStore::new(),
         }
     }
-}
 
-impl Device for DelayJitter {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+    /// The extra delay for the next packet arriving on `port`.
+    fn delay(&mut self, port: Port) -> Duration {
         let dir = port.0;
         assert!(dir < 2);
-        let extra = if self.max > self.min {
+        if self.max > self.min {
             let span = (self.max - self.min).as_nanos() as u64;
             self.min + Duration::from_nanos(self.rngs[dir].gen_range(0..=span))
         } else {
             self.min
-        };
+        }
+    }
+}
+
+impl Device for DelayJitter {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+        let extra = self.delay(port);
         let token = self.pending.insert((other(port), pkt));
         ctx.set_timer(extra, token);
+    }
+
+    /// A constant delay (`min == max`) is FIFO, so it cuts through; a
+    /// random one reorders and needs its timer events.
+    fn cut_through(&mut self, port: Port, _pkt: &Packet) -> Option<CutThrough> {
+        if self.max > self.min {
+            return None;
+        }
+        Some(CutThrough::Forward {
+            port: other(port),
+            delay: self.delay(port),
+        })
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

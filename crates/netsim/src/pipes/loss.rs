@@ -3,11 +3,12 @@
 //! lone-reply ambiguity rules are designed around.
 
 use super::other;
-use crate::engine::{Ctx, Device, Port};
+use crate::engine::{Ctx, CutThrough, Device, Port};
 use crate::rng;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use reorder_wire::Packet;
+use std::time::Duration;
 
 /// Drops packets i.i.d. with a per-direction probability.
 pub struct RandomLoss {
@@ -37,14 +38,25 @@ impl RandomLoss {
 
 impl Device for RandomLoss {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+        if let Some(CutThrough::Forward { port, .. }) = self.cut_through(port, &pkt) {
+            ctx.transmit(port, pkt);
+        }
+    }
+
+    /// One draw from the arrival direction's own stream: the verdict
+    /// depends only on how many packets that direction has seen.
+    fn cut_through(&mut self, port: Port, _pkt: &Packet) -> Option<CutThrough> {
         let dir = port.0;
         assert!(dir < 2);
         if self.prob[dir] > 0.0 && self.rngs[dir].gen_bool(self.prob[dir]) {
             self.dropped[dir] += 1;
-            return;
+            return Some(CutThrough::Drop);
         }
         self.passed[dir] += 1;
-        ctx.transmit(other(port), pkt);
+        Some(CutThrough::Forward {
+            port: other(port),
+            delay: Duration::ZERO,
+        })
     }
 
     fn name(&self) -> &str {

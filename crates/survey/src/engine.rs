@@ -595,6 +595,7 @@ mod tests {
         assert_eq!(merged.counter("agg.absorbs"), 12);
         assert_eq!(merged.counter("sched.tasks"), 12);
         assert!(merged.counter("pool.hits") > 0, "pooled run must recycle");
+        assert!(merged.counter("netsim.cut_through_hops") > 0);
         for workers in [2, 4] {
             for keep_reports in [true, false] {
                 let out = run(workers, keep_reports);
@@ -602,6 +603,7 @@ mod tests {
                 for key in [
                     "netsim.events",
                     "netsim.calendar_overflow",
+                    "netsim.cut_through_hops",
                     "pool.hits",
                     "pool.misses",
                     "agg.absorbs",

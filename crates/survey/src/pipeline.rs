@@ -516,8 +516,8 @@ pub fn survey_host_pooled(
 /// [`survey_host_pooled`] with a telemetry sink: phase span durations
 /// (`host`, `amenability`, `measure`, `baseline`, `gap_sweep`) and
 /// pipeline counters (`netsim.events`, `netsim.calendar_overflow`,
-/// `pool.hits`, `pool.misses`) are folded into `tel` according to
-/// [`HostJob::telemetry`]. With [`TelemetryMode::Off`] (the default)
+/// `netsim.cut_through_hops`, `pool.hits`, `pool.misses`) are folded
+/// into `tel` according to [`HostJob::telemetry`]. With [`TelemetryMode::Off`] (the default)
 /// nothing is recorded and no clock is read — `tel` stays untouched —
 /// and in every mode the returned report is byte-identical to the
 /// untraced run (telemetry observes; it never participates).
@@ -532,6 +532,7 @@ pub fn survey_host_traced(
     let mode = job.telemetry;
     let events_before = pool.events_absorbed();
     let overflow_before = pool.overflow_absorbed();
+    let cut_through_before = pool.cut_through_absorbed();
     let hits_before = pool.recycled();
     let misses_before = pool.fresh_builds();
     let host_sw = mode.start();
@@ -547,6 +548,10 @@ pub fn survey_host_traced(
         tel.count(
             "netsim.calendar_overflow",
             pool.overflow_absorbed() - overflow_before,
+        );
+        tel.count(
+            "netsim.cut_through_hops",
+            pool.cut_through_absorbed() - cut_through_before,
         );
         tel.count("pool.hits", pool.recycled() - hits_before);
         tel.count("pool.misses", pool.fresh_builds() - misses_before);

@@ -21,6 +21,7 @@ use std::path::Path;
 fn worker(mode: TelemetryMode, scale: u64) -> WorkerTelemetry {
     let mut tel = WorkerTelemetry::new();
     tel.count("netsim.events", 1_000 * scale);
+    tel.count("netsim.cut_through_hops", 2_000 * scale);
     tel.count("pool.hits", 10 * scale - 1);
     tel.count("pool.misses", 1);
     tel.count("sched.tasks", 10 * scale);

@@ -22,6 +22,7 @@
 use crate::personality::{DelayedAck, SecondSynBehavior};
 use crate::reasm::ReasmQueue;
 use reorder_wire::{Bytes, SeqNum, TcpFlags, TcpHeader, TcpOption};
+use std::sync::{Mutex, PoisonError};
 
 /// A segment the connection wants transmitted (addresses/IPID are the
 /// host's job).
@@ -87,7 +88,8 @@ pub struct ConnCfg {
 /// Object transmission progress.
 #[derive(Debug, Clone)]
 struct TxObject {
-    /// The whole object, built once; segments are zero-copy slices.
+    /// The whole object, a view of the shared pattern buffer; segments
+    /// are zero-copy slices.
     body: Bytes,
     /// Bytes handed to the network so far.
     sent: usize,
@@ -101,8 +103,26 @@ struct TxObject {
 
 /// The deterministic, self-describing object body: byte `k` is
 /// `k % 251`, so traces can verify content.
+///
+/// Every body is a zero-copy prefix of one process-wide pattern buffer,
+/// rebuilt (at the next power of two) only when a larger object is
+/// asked for, so serving a `GET` costs a refcount bump, not a fill.
 fn object_body(total: usize) -> Bytes {
-    Bytes::from((0..total).map(|k| (k % 251) as u8).collect::<Vec<u8>>())
+    static PATTERN: Mutex<Option<Bytes>> = Mutex::new(None);
+    // The slot only ever holds nothing or a complete pattern, so the
+    // data behind a poisoned lock is still valid.
+    let mut pattern = PATTERN.lock().unwrap_or_else(PoisonError::into_inner);
+    let buf = match pattern.take() {
+        Some(buf) if buf.len() >= total => buf,
+        _ => Bytes::from(
+            (0..total.next_power_of_two())
+                .map(|k| (k % 251) as u8)
+                .collect::<Vec<u8>>(),
+        ),
+    };
+    let body = buf.slice(..total);
+    *pattern = Some(buf);
+    body
 }
 
 /// A server-side TCP connection.

@@ -216,10 +216,14 @@ impl TcpHost {
         {
             let iss = self.next_iss();
             let conn = Conn::accept(tcp, iss, self.conn_cfg(), &mut out);
-            let idx = self.conns.iter().position(Option::is_none).unwrap_or({
-                self.conns.push(None);
-                self.conns.len() - 1
-            });
+            let idx = self
+                .conns
+                .iter()
+                .position(Option::is_none)
+                .unwrap_or_else(|| {
+                    self.conns.push(None);
+                    self.conns.len() - 1
+                });
             self.conns[idx] = Some(conn);
             self.by_flow.push((flow, idx));
         } else if self.cfg.personality.rst_closed_ports {
@@ -304,6 +308,8 @@ mod tests {
     use super::*;
     use reorder_netsim::{drain, LinkParams, Mailbox, SimTime, Simulator};
     use reorder_wire::PacketBuilder;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::time::Duration;
 
     const ME: Ipv4Addr4 = Ipv4Addr4::new(10, 0, 0, 1);
@@ -507,6 +513,46 @@ mod tests {
         sim.transmit_from(me, Port(0), syn(100, 4000));
         sim.run_until_idle(SimTime::from_secs(1));
         assert_eq!(drain(&q).pop().unwrap().pkt.ip.ident.raw(), 0);
+    }
+
+    /// Shares the host with the test while the simulator owns the node.
+    struct Shared(Rc<RefCell<TcpHost>>);
+    impl Device for Shared {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+            self.0.borrow_mut().on_packet(ctx, port, pkt);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.0.borrow_mut().on_timer(ctx, token);
+        }
+    }
+
+    #[test]
+    fn closed_connection_slots_are_reused() {
+        let mut sim = Simulator::new(5);
+        let (mb, q) = Mailbox::new();
+        let me = sim.add_node(Box::new(mb));
+        let host = Rc::new(RefCell::new(TcpHost::new(
+            TcpHostConfig::web_server(SRV, HostPersonality::freebsd4()),
+            sim.master_seed(),
+        )));
+        let srv = sim.add_node(Box::new(Shared(host.clone())));
+        sim.connect(me, Port(0), srv, Port(0), LinkParams::lan());
+        for i in 0..10u16 {
+            let sport = 4000 + i;
+            sim.transmit_from(me, Port(0), syn(100, sport));
+            sim.run_until_idle(SimTime::from_secs(1));
+            assert_eq!(drain(&q).len(), 1, "SYN/ACK for connection {i}");
+            let rst = PacketBuilder::tcp()
+                .src(ME, sport)
+                .dst(SRV, 80)
+                .seq(101)
+                .flags(TcpFlags::RST)
+                .build();
+            sim.transmit_from(me, Port(0), rst);
+            sim.run_until_idle(SimTime::from_secs(1));
+            assert!(host.borrow().by_flow.is_empty(), "connection {i} closed");
+        }
+        assert_eq!(host.borrow().conns.len(), 1);
     }
 
     #[test]
