@@ -9,13 +9,11 @@
 //!
 //! The path is a 2-way per-packet-striped link with Poisson cross
 //! traffic (the physical mechanism §IV-C identifies); the instrument is
-//! the Dual Connection Test with its gap parameter. Since campaign
-//! format v2 the stripe's backlog comes from the O(1) stationary
-//! workload sampler (`scenario::striped_path`'s default
-//! `SimVersion`) — the decay curve is statistically unchanged from the
-//! v1 replay (asserted by the striping equivalence tests) but each
-//! point now costs one draw per probe instead of a burst-history
-//! replay.
+//! the Dual Connection Test with its gap parameter. The stripe's
+//! backlog comes from the O(1) stationary workload sampler; the exact
+//! burst-history `Replay` model is kept only as the test oracle, and
+//! the striping equivalence tests bound the decay curve's distance
+//! from it, so each point costs one draw per probe.
 
 use reorder_bench::{parallel_map, pct, rule, run_technique, Scale};
 use reorder_core::metrics::GapProfile;

@@ -115,7 +115,6 @@ fn main() {
             1_000_000_000,
             CrossTraffic::backbone(),
             eager.clone(),
-            reorder_core::scenario::SimVersion::default(),
             0x5E4D,
         );
         let cfg = SenderConfig {

@@ -1,14 +1,9 @@
 //! `exp_scale` — the campaign perf harness: runs the survey pipeline at
-//! scale, measures hosts/sec and events/sec per configuration
-//! (including the pooling and connection-reuse ablations), and records
-//! the result as `BENCH_campaign.json` so this and future PRs leave a
-//! perf trajectory instead of anecdotes.
-//!
-//! Since campaign format v2 every scale runs *per simulation version*:
-//! the full pipeline under `--sim-version` 1 (replayed cross traffic)
-//! and 2 (stationary O(1) draws), so the sampler redesign's win is a
-//! recorded ratio, not a claim. The ablation arms run under v2 (the
-//! default format).
+//! scale, measures hosts/sec and events/sec per configuration, and
+//! records the result as `BENCH_campaign.json` so this and future PRs
+//! leave a perf trajectory instead of anecdotes. The `v2_` row names
+//! are the campaign output format the rows have measured since the
+//! stationary cross-traffic sampler landed; the floor keys match them.
 //!
 //! * `REORDER_SCALE=quick|std|full` picks 120 / 1000 / 5000 hosts.
 //! * `REORDER_BENCH_RUNS=<n>` takes the min-of-n wall time per config
@@ -16,14 +11,13 @@
 //!   10 so the recorded trajectory is noise-floored).
 //! * `REORDER_BENCH_OUT` overrides the output path.
 //! * `REORDER_BENCH_FLOOR=<path>` enables the regression gate: the
-//!   floor file holds the worst acceptable full-pipeline hosts/sec per
-//!   version for the current scale; the run fails (exit 1) when either
-//!   version's throughput lands more than 30% below its floor. CI runs
-//!   the quick scale with the checked-in `BENCH_floor.json`.
+//!   floor file holds the worst acceptable full-pipeline and chaos
+//!   hosts/sec for the current scale; the run fails (exit 1) when
+//!   either lands more than 30% below its floor. CI runs the quick
+//!   scale with the checked-in `BENCH_floor.json`.
 
 use reorder_bench::{rule, Scale};
 use reorder_campaign::{start, CampaignOptions, CampaignSpec, InProcessRunner};
-use reorder_core::scenario::SimVersion;
 use reorder_survey::{
     run_campaign, CampaignConfig, CampaignOutcome, PopulationModel, TelemetryMode,
 };
@@ -101,36 +95,15 @@ fn main() {
         seed,
         ..CampaignConfig::default()
     };
-    let v1 = CampaignConfig {
-        sim_version: SimVersion::V1,
-        ..base.clone()
-    };
 
     println!(
         "exp_scale: campaign throughput at {hosts} hosts (seed {seed}, 1 worker, \
-         min-of-{runs}, v1 = replay, v2 = stationary)"
+         min-of-{runs})"
     );
     rule(84);
 
     let base_scaling = base.clone();
     let rows = [
-        measure("v1_full", &v1.clone(), runs),
-        measure(
-            "v1_no_baseline",
-            &CampaignConfig {
-                baseline: false,
-                ..v1.clone()
-            },
-            runs,
-        ),
-        measure(
-            "v1_amenability_only",
-            &CampaignConfig {
-                amenability_only: true,
-                ..v1
-            },
-            runs,
-        ),
         measure("v2_full", &base.clone(), runs),
         measure(
             "v2_no_baseline",
@@ -174,23 +147,6 @@ fn main() {
             },
             runs,
         ),
-        // Ablations (v2): each turns one hot-path contribution off.
-        measure(
-            "v2_full_no_pool",
-            &CampaignConfig {
-                pool: false,
-                ..base.clone()
-            },
-            runs,
-        ),
-        measure(
-            "v2_full_no_reuse",
-            &CampaignConfig {
-                reuse: false,
-                ..base.clone()
-            },
-            runs,
-        ),
     ];
 
     println!(
@@ -204,20 +160,13 @@ fn main() {
             r.name, r.hosts, r.wall_s, r.hosts_per_sec, r.events, r.events_per_sec
         );
     }
-    // Looked up by name: the speedup ratio and the floor gate must not
-    // silently follow a reordering of the rows array.
+    // Looked up by name: the floor gate must not silently follow a
+    // reordering of the rows array.
     let row = |name: &str| {
         rows.iter()
             .find(|r| r.name == name)
             .unwrap_or_else(|| panic!("missing bench row `{name}`"))
     };
-    let v1_full = row("v1_full");
-    let v2_full = row("v2_full");
-    let speedup = v1_full.wall_s / v2_full.wall_s;
-    println!(
-        "v2/v1 full-pipeline wall ratio: {:.2}x faster (v1 {:.3}s -> v2 {:.3}s)",
-        speedup, v1_full.wall_s, v2_full.wall_s
-    );
     // Fraction of the uninstrumented throughput that survives
     // summary-mode telemetry (1.0 = free; the floor gate wants ≥0.95).
     // Measured as alternating off/summary pairs, min-of-n each, so
@@ -300,8 +249,6 @@ fn main() {
             baseline: base.baseline,
             amenability_only: base.amenability_only,
             gaps_us: base.gaps_us.clone(),
-            reuse: base.reuse,
-            sim_version: base.sim_version,
             shards: campaign_shards,
             jsonl: false,
             // Chaos off, default per-host budget: the overhead arm
@@ -437,7 +384,7 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"scale\": \"{}\",\n  \"hosts\": {hosts},\n  \"seed\": {seed},\n  \"workers\": {workers},\n  \"peak_rss_kb\": {},\n  \"v2_speedup_over_v1\": {speedup:.2},\n  \"configs\": {{\n",
+        "{{\n  \"scale\": \"{}\",\n  \"hosts\": {hosts},\n  \"seed\": {seed},\n  \"workers\": {workers},\n  \"peak_rss_kb\": {},\n  \"configs\": {{\n",
         scale.pick("full", "std", "quick"),
         rss.map_or("null".to_string(), |k| k.to_string()),
     );
@@ -482,18 +429,13 @@ fn main() {
     std::fs::write(&out_path, &json).expect("writing BENCH_campaign.json");
     println!("wrote {out_path}");
 
-    // Regression gate against the checked-in floor, when asked. Both
-    // versions are gated: v2 so the stationary sampler's win cannot
-    // silently erode, v1 so the frozen replay path stays usable.
+    // Regression gate against the checked-in floor, when asked.
     if let Ok(floor_path) = std::env::var("REORDER_BENCH_FLOOR") {
         let floor_text = std::fs::read_to_string(&floor_path)
             .unwrap_or_else(|e| panic!("reading floor {floor_path}: {e}"));
         let mut failed = false;
-        for (name, row) in [
-            ("v1_full", v1_full),
-            ("v2_full", v2_full),
-            ("v2_chaos20", row("v2_chaos20")),
-        ] {
+        for name in ["v2_full", "v2_chaos20"] {
+            let row = row(name);
             let key = format!(
                 "{}_{name}_hosts_per_sec",
                 scale.pick("full", "std", "quick")

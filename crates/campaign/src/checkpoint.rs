@@ -1,5 +1,5 @@
 //! The crash-safety layer: atomic file writes and the sealed,
-//! schema-versioned `reorder.checkpoint/1` document.
+//! schema-versioned `reorder.checkpoint/2` document.
 //!
 //! Every file the orchestrator (or the CLI's `--jsonl`/`--metrics`
 //! sinks) persists goes through write-temp-then-rename: a reader can
@@ -19,8 +19,10 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Version tag of the checkpoint document. Bump on any shape change;
-/// readers reject other versions before parsing further.
-pub const CHECKPOINT_SCHEMA: &str = "reorder.checkpoint/1";
+/// readers reject other versions before parsing further. Version 2
+/// dropped the spec fields of the retired connection-reuse and
+/// simulation-version switches.
+pub const CHECKPOINT_SCHEMA: &str = "reorder.checkpoint/2";
 
 /// The temp-file path `atomic_write` and [`AtomicFile`] stage into:
 /// same directory as the destination (rename must not cross a
@@ -136,7 +138,7 @@ impl Checkpoint {
         }
     }
 
-    /// Serialize as a sealed `reorder.checkpoint/1` document.
+    /// Serialize as a sealed `reorder.checkpoint/2` document.
     pub fn to_json(&self) -> String {
         let completed = self
             .completed
@@ -301,5 +303,22 @@ mod tests {
                 .replace("\"completed\":[]", "\"completed\":[9]"),
         );
         assert!(Checkpoint::from_json(&bad_shard).is_err());
+        // A version-1 document, as the previous format wrote it (its
+        // spec still carried the two retired fields): refused by
+        // schema, not misreported as a fingerprint mismatch.
+        let v1 = seal(
+            &unseal(&good)
+                .unwrap()
+                .replace(CHECKPOINT_SCHEMA, "reorder.checkpoint/1")
+                .replace(
+                    "\"chaos_ppm\"",
+                    "\"reuse\":true,\"sim_version\":\"2\",\"chaos_ppm\"",
+                ),
+        );
+        let err = Checkpoint::from_json(&v1).unwrap_err();
+        assert!(
+            err.contains("unsupported checkpoint schema `reorder.checkpoint/1`"),
+            "{err}"
+        );
     }
 }

@@ -10,7 +10,6 @@
 //! they change how fast the bytes arrive, never which bytes.
 
 use reorder_core::jsonx;
-use reorder_core::scenario::SimVersion;
 use reorder_core::telemetry::TelemetryMode;
 use reorder_survey::{Budget, CampaignConfig, PopulationModel, TechniqueChoice};
 use std::time::Duration;
@@ -26,8 +25,8 @@ fn bool_field(text: &str, key: &str) -> Result<bool, String> {
 
 /// The output-affecting configuration of one campaign, plus its shard
 /// plan. Field set mirrors [`CampaignConfig`] minus the runtime knobs
-/// (`workers`, `pool`, `keep_reports`, `telemetry`, `progress`) that
-/// cannot change campaign bytes.
+/// (`workers`, `keep_reports`, `telemetry`, `progress`) that cannot
+/// change campaign bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignSpec {
     /// Hosts to survey across all shards.
@@ -46,11 +45,6 @@ pub struct CampaignSpec {
     pub amenability_only: bool,
     /// Inter-packet gaps (µs) for a campaign-level gap profile.
     pub gaps_us: Vec<u64>,
-    /// Share one session across each host's phases (affects the
-    /// measurement protocol, hence bytes).
-    pub reuse: bool,
-    /// Simulation format version (output differs per version).
-    pub sim_version: SimVersion,
     /// Hostile-host rate in parts per million (the CLI's `--chaos`).
     /// Changes which hosts are hostile, hence bytes.
     pub chaos_ppm: u32,
@@ -82,8 +76,6 @@ impl Default for CampaignSpec {
             baseline: base.baseline,
             amenability_only: base.amenability_only,
             gaps_us: base.gaps_us,
-            reuse: base.reuse,
-            sim_version: base.sim_version,
             chaos_ppm: 0,
             deadline_ms: budget.deadline.as_millis() as u64,
             host_retries: budget.max_retries,
@@ -106,9 +98,8 @@ impl CampaignSpec {
             .join(",");
         format!(
             "{{\"hosts\":{},\"seed\":{},\"samples\":{},\"rounds\":{},\"technique\":\"{}\",\
-             \"baseline\":{},\"amenability_only\":{},\"gaps_us\":[{gaps}],\"reuse\":{},\
-             \"sim_version\":\"{}\",\"chaos_ppm\":{},\"deadline_ms\":{},\"host_retries\":{},\
-             \"backoff_ms\":{},\"shards\":{},\"jsonl\":{}}}",
+             \"baseline\":{},\"amenability_only\":{},\"gaps_us\":[{gaps}],\"chaos_ppm\":{},\
+             \"deadline_ms\":{},\"host_retries\":{},\"backoff_ms\":{},\"shards\":{},\"jsonl\":{}}}",
             self.hosts,
             self.seed,
             self.samples,
@@ -116,8 +107,6 @@ impl CampaignSpec {
             self.technique,
             self.baseline,
             self.amenability_only,
-            self.reuse,
-            self.sim_version,
             self.chaos_ppm,
             self.deadline_ms,
             self.host_retries,
@@ -144,8 +133,6 @@ impl CampaignSpec {
             baseline: bool_field(text, "baseline")?,
             amenability_only: bool_field(text, "amenability_only")?,
             gaps_us,
-            reuse: bool_field(text, "reuse")?,
-            sim_version: jsonx::str_field(text, "sim_version")?.parse()?,
             chaos_ppm: jsonx::int_field(text, "chaos_ppm")?,
             deadline_ms: jsonx::int_field(text, "deadline_ms")?,
             host_retries: jsonx::int_field(text, "host_retries")?,
@@ -179,8 +166,6 @@ impl CampaignSpec {
             baseline: self.baseline,
             amenability_only: self.amenability_only,
             gaps_us: self.gaps_us.clone(),
-            reuse: self.reuse,
-            sim_version: self.sim_version,
             keep_reports: false,
             telemetry,
             model: PopulationModel {
@@ -212,8 +197,6 @@ mod tests {
             baseline: false,
             amenability_only: true,
             gaps_us: vec![0, 50, 300],
-            reuse: false,
-            sim_version: "1".parse().unwrap(),
             chaos_ppm: 200_000,
             deadline_ms: 45_000,
             host_retries: 2,
@@ -255,13 +238,6 @@ mod tests {
                 "jsonl",
                 CampaignSpec {
                     jsonl: true,
-                    ..base.clone()
-                },
-            ),
-            (
-                "reuse",
-                CampaignSpec {
-                    reuse: false,
                     ..base.clone()
                 },
             ),

@@ -1,6 +1,6 @@
 //! Property tests for the checkpoint serialization contract: the
 //! aggregation and telemetry state that rides inside
-//! `reorder.checkpoint/1` must survive a to_json/from_json round trip
+//! `reorder.checkpoint/2` must survive a to_json/from_json round trip
 //! *exactly* (merging restored states equals merging the originals),
 //! and a sealed document with any single flipped bit must be rejected
 //! by the integrity hash rather than merged silently. These two laws

@@ -7,13 +7,13 @@ use reorder_campaign::{
 };
 use reorder_core::metrics::ReorderEstimate;
 use reorder_core::sample::TestConfig;
-use reorder_core::scenario::{self, SimVersion};
+use reorder_core::scenario;
 use reorder_core::validate::validate_run;
 use reorder_core::{technique, Measurer, Session, TestKind};
 use reorder_netsim::pipes::{ArqConfig, CrossTraffic};
 use reorder_survey::{
-    run_campaign, Budget, CampaignConfig, CampaignTelemetry, PopulationModel, ShardAggregator,
-    ShardState, TechniqueChoice, TelemetryMode,
+    run_campaign, Budget, CampaignTelemetry, ShardAggregator, ShardState, TechniqueChoice,
+    TelemetryMode,
 };
 use reorder_tcpstack::HostPersonality;
 use std::path::{Path, PathBuf};
@@ -109,13 +109,6 @@ pub fn measure(args: &Args) -> Result<(), ArgError> {
     }
 }
 
-/// Parse `--sim-version` (campaign format v1 = replayed cross
-/// traffic, v2 = stationary O(1) draws; default 2).
-fn parse_sim_version(args: &Args) -> Result<SimVersion, ArgError> {
-    args.get("sim-version")
-        .map_or(Ok(SimVersion::default()), |v| v.parse().map_err(ArgError))
-}
-
 /// Parse `--workers` for every worker-taking command: `auto` (the
 /// default — resolve to all available cores via
 /// `std::thread::available_parallelism`) or a positive thread count.
@@ -149,7 +142,6 @@ pub fn profile(args: &Args) -> Result<(), ArgError> {
         "max-us",
         "step-us",
         "seed",
-        "sim-version",
         "workers",
         "csv",
     ])?;
@@ -161,7 +153,6 @@ pub fn profile(args: &Args) -> Result<(), ArgError> {
     let max_us: u64 = args.get_or("max-us", 300)?;
     let step_us: u64 = args.get_or("step-us", 25)?.max(1);
     let seed: u64 = args.get_or("seed", 1)?;
-    let sim_version = parse_sim_version(args)?;
     let workers = parse_workers(args)?;
     let csv = args.switch("csv");
 
@@ -181,14 +172,7 @@ pub fn profile(args: &Args) -> Result<(), ArgError> {
             |i: usize| -> Result<ReorderEstimate, String> {
                 let gap = gaps[i];
                 let mut sc = match mechanism.as_str() {
-                    "striping" => scenario::striped_path_with(
-                        2,
-                        1_000_000_000,
-                        CrossTraffic::backbone(),
-                        HostPersonality::freebsd4(),
-                        sim_version,
-                        seed + gap,
-                    ),
+                    "striping" => scenario::striped_path(CrossTraffic::backbone(), seed + gap),
                     "multipath" => scenario::multipath_path(Duration::from_micros(80), seed + gap),
                     "arq" => scenario::wireless_path(ArqConfig::default(), seed + gap),
                     _ => unreachable!("mechanism validated above"),
@@ -294,38 +278,57 @@ impl std::io::Write for JsonlSink {
     }
 }
 
-/// `reorder survey` — the sharded campaign engine (`reorder-survey`)
-/// run over a generated host population. Output on stdout is
-/// byte-identical across reruns and worker counts for a fixed seed;
-/// timing goes to stderr.
-pub fn survey(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "hosts",
-        "workers",
-        "rounds",
-        "samples",
-        "seed",
-        "technique",
-        "jsonl",
-        "gaps-us",
-        "no-baseline",
-        "no-reuse",
-        "no-pool",
-        "amenability-only",
-        "per-host",
-        "shard",
-        "shard-state",
-        "sim-version",
-        "chaos",
-        "host-deadline-ms",
-        "host-retries",
-        "host-backoff-ms",
-        "telemetry",
-        "metrics",
-        "progress",
-    ])?;
+/// The campaign plan flags `survey` and `campaign` share: every option
+/// ([`PLAN_OPTIONS`]) and switch ([`PLAN_SWITCHES`]) that changes
+/// output bytes, read by [`parse_plan`]. Each command accepts them on
+/// top of its own runtime flags, and `campaign --resume` refuses them
+/// all (the checkpoint is the plan).
+const PLAN_OPTIONS: [&str; 10] = [
+    "hosts",
+    "seed",
+    "samples",
+    "rounds",
+    "technique",
+    "gaps-us",
+    "chaos",
+    "host-deadline-ms",
+    "host-retries",
+    "host-backoff-ms",
+];
+
+/// The switch half of the shared plan (see [`PLAN_OPTIONS`]).
+const PLAN_SWITCHES: [&str; 2] = ["no-baseline", "amenability-only"];
+
+/// Parse the shared plan flags into a one-shard, JSONL-less
+/// [`CampaignSpec`]; `campaign` sets its shard plan on top and
+/// `survey` materializes it with [`CampaignSpec::config`].
+fn parse_plan(args: &Args) -> Result<CampaignSpec, ArgError> {
+    let (deadline_ms, host_retries, backoff_ms) = parse_budget(args)?;
+    Ok(CampaignSpec {
+        hosts: args.get_or("hosts", 50)?,
+        seed: args.get_or("seed", 77)?,
+        samples: args.get_or("samples", 15)?,
+        rounds: args.get_or("rounds", 1)?,
+        technique: TechniqueChoice::parse(args.get("technique").unwrap_or("auto"))
+            .map_err(ArgError)?,
+        baseline: !args.switch("no-baseline"),
+        amenability_only: args.switch("amenability-only"),
+        gaps_us: parse_gaps(args.get("gaps-us").unwrap_or(""))?,
+        chaos_ppm: parse_chaos(args)?,
+        deadline_ms,
+        host_retries,
+        backoff_ms,
+        ..CampaignSpec::default()
+    })
+}
+
+/// Parse `--telemetry MODE` and `--metrics FILE|-` together: the mode,
+/// plus where the `reorder.metrics/1` document goes. `--metrics`
+/// without an explicit mode means "measure, cheaply" (summary); with
+/// `--telemetry off` it is a contradiction and an error.
+fn parse_telemetry(args: &Args) -> Result<(TelemetryMode, Option<&str>), ArgError> {
     let metrics = args.get("metrics");
-    let telemetry = match args.get("telemetry") {
+    let mode = match args.get("telemetry") {
         Some(name) => {
             let mode = TelemetryMode::parse(name).map_err(ArgError)?;
             if metrics.is_some() && !mode.is_enabled() {
@@ -336,44 +339,42 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
             }
             mode
         }
-        // `--metrics` without an explicit mode means "measure, cheaply".
         None if metrics.is_some() => TelemetryMode::Summary,
         None => TelemetryMode::Off,
     };
-    let cfg = CampaignConfig {
-        hosts: args.get_or("hosts", 50)?,
-        workers: parse_workers(args)?,
-        rounds: args.get_or("rounds", 1)?,
-        samples: args.get_or("samples", 15)?,
-        seed: args.get_or("seed", 77)?,
-        technique: TechniqueChoice::parse(args.get("technique").unwrap_or("auto"))
-            .map_err(ArgError)?,
-        baseline: !args.switch("no-baseline"),
-        reuse: !args.switch("no-reuse"),
-        pool: !args.switch("no-pool"),
-        amenability_only: args.switch("amenability-only"),
-        gaps_us: parse_gaps(args.get("gaps-us").unwrap_or(""))?,
-        sim_version: parse_sim_version(args)?,
-        shard: args.get("shard").map(parse_shard).transpose()?,
-        // Only the `--per-host` table reads `out.reports`; without it
-        // (and without `--jsonl`) the engine takes the funnel-free
-        // sharded-fold path and never materialises per-host reports.
-        keep_reports: args.switch("per-host"),
-        telemetry,
-        progress: args.switch("progress"),
-        model: PopulationModel {
-            chaos_ppm: parse_chaos(args)?,
-            ..Default::default()
-        },
-        budget: {
-            let (deadline_ms, retries, backoff_ms) = parse_budget(args)?;
-            Budget {
-                deadline: Duration::from_millis(deadline_ms),
-                max_retries: retries,
-                backoff: Duration::from_millis(backoff_ms),
-            }
-        },
-    };
+    Ok((mode, metrics))
+}
+
+/// `reorder survey` — the sharded campaign engine (`reorder-survey`)
+/// run over a generated host population. Output on stdout is
+/// byte-identical across reruns and worker counts for a fixed seed;
+/// timing goes to stderr.
+pub fn survey(args: &Args) -> Result<(), ArgError> {
+    args.expect_only(
+        &[
+            &PLAN_OPTIONS[..],
+            &PLAN_SWITCHES,
+            &[
+                "workers",
+                "jsonl",
+                "per-host",
+                "shard",
+                "shard-state",
+                "telemetry",
+                "metrics",
+                "progress",
+            ],
+        ]
+        .concat(),
+    )?;
+    let (telemetry, metrics) = parse_telemetry(args)?;
+    let mut cfg = parse_plan(args)?.config(parse_workers(args)?, telemetry);
+    cfg.shard = args.get("shard").map(parse_shard).transpose()?;
+    // Only the `--per-host` table reads `out.reports`; without it (and
+    // without `--jsonl`) the engine takes the funnel-free sharded-fold
+    // path and never materialises per-host reports.
+    cfg.keep_reports = args.switch("per-host");
+    cfg.progress = args.switch("progress");
 
     let started = std::time::Instant::now();
     // `--jsonl -` streams the per-host lines to stdout; human-facing
@@ -458,7 +459,7 @@ pub fn survey(args: &Args) -> Result<(), ArgError> {
     }
     eprintln!(
         "campaign: {} hosts in {:.2}s on {} worker(s), {} steal(s), {} event(s), {:.0} events/s",
-        cfg.hosts,
+        out.summary.hosts,
         wall.as_secs_f64(),
         out.stats.workers,
         out.stats.steals,
@@ -584,51 +585,30 @@ fn parse_max_host_failures(args: &Args) -> Result<Option<f64>, ArgError> {
 /// `--resume DIR` continues losslessly — the merged summary and
 /// concatenated JSONL are byte-identical to an uninterrupted run.
 pub fn campaign(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "dir",
-        "resume",
-        "hosts",
-        "seed",
-        "samples",
-        "rounds",
-        "technique",
-        "gaps-us",
-        "no-baseline",
-        "no-reuse",
-        "amenability-only",
-        "sim-version",
-        "chaos",
-        "host-deadline-ms",
-        "host-retries",
-        "host-backoff-ms",
-        "shards",
-        "jsonl",
-        "workers",
-        "inflight",
-        "retries",
-        "backoff-ms",
-        "max-host-failures",
-        "in-process",
-        "fail-after-shards",
-        "telemetry",
-        "metrics",
-        "progress",
-    ])?;
-    let metrics = args.get("metrics");
-    let telemetry = match args.get("telemetry") {
-        Some(name) => {
-            let mode = TelemetryMode::parse(name).map_err(ArgError)?;
-            if metrics.is_some() && !mode.is_enabled() {
-                return Err(ArgError(
-                    "--metrics needs telemetry: drop `--telemetry off` or pass summary/full"
-                        .to_string(),
-                ));
-            }
-            mode
-        }
-        None if metrics.is_some() => TelemetryMode::Summary,
-        None => TelemetryMode::Off,
-    };
+    args.expect_only(
+        &[
+            &PLAN_OPTIONS[..],
+            &PLAN_SWITCHES,
+            &[
+                "dir",
+                "resume",
+                "shards",
+                "jsonl",
+                "workers",
+                "inflight",
+                "retries",
+                "backoff-ms",
+                "max-host-failures",
+                "in-process",
+                "fail-after-shards",
+                "telemetry",
+                "metrics",
+                "progress",
+            ],
+        ]
+        .concat(),
+    )?;
+    let (telemetry, metrics) = parse_telemetry(args)?;
     if args.get("jsonl").is_some() {
         return Err(ArgError(
             "--jsonl takes no value here: the campaign report lands in DIR/campaign.jsonl"
@@ -653,53 +633,18 @@ pub fn campaign(args: &Args) -> Result<(), ArgError> {
     if resuming {
         // The checkpoint is the plan; silently accepting plan flags
         // here would invite a divergent resume.
-        for flag in [
-            "hosts",
-            "seed",
-            "samples",
-            "rounds",
-            "technique",
-            "gaps-us",
-            "sim-version",
-            "chaos",
-            "host-deadline-ms",
-            "host-retries",
-            "host-backoff-ms",
-            "shards",
-        ] {
-            if args.get(flag).is_some() {
+        for flag in [&PLAN_OPTIONS[..], &PLAN_SWITCHES, &["shards", "jsonl"]].concat() {
+            if args.get(flag).is_some() || args.switch(flag) {
                 return Err(ArgError(format!(
                     "--resume restores the checkpointed plan; drop --{flag}"
                 )));
             }
         }
-        for switch in ["no-baseline", "no-reuse", "amenability-only", "jsonl"] {
-            if args.switch(switch) {
-                return Err(ArgError(format!(
-                    "--resume restores the checkpointed plan; drop --{switch}"
-                )));
-            }
-        }
     }
-    let (deadline_ms, host_retries, host_backoff_ms) = parse_budget(args)?;
     let spec = CampaignSpec {
-        hosts: args.get_or("hosts", 50)?,
-        seed: args.get_or("seed", 77)?,
-        samples: args.get_or("samples", 15)?,
-        rounds: args.get_or("rounds", 1)?,
-        technique: TechniqueChoice::parse(args.get("technique").unwrap_or("auto"))
-            .map_err(ArgError)?,
-        baseline: !args.switch("no-baseline"),
-        amenability_only: args.switch("amenability-only"),
-        gaps_us: parse_gaps(args.get("gaps-us").unwrap_or(""))?,
-        reuse: !args.switch("no-reuse"),
-        sim_version: parse_sim_version(args)?,
-        chaos_ppm: parse_chaos(args)?,
-        deadline_ms,
-        host_retries,
-        backoff_ms: host_backoff_ms,
         shards: args.get_or("shards", 8)?,
         jsonl: args.switch("jsonl"),
+        ..parse_plan(args)?
     };
     if spec.shards == 0 {
         return Err(ArgError(
@@ -1043,31 +988,33 @@ mod tests {
     }
 
     #[test]
-    fn survey_accepts_both_sim_versions_and_rejects_others() {
-        survey(&parse("survey --hosts 3 --samples 3 --sim-version 1")).expect("v1");
-        survey(&parse("survey --hosts 3 --samples 3 --sim-version 2")).expect("v2");
-        let e = survey(&parse("survey --hosts 3 --sim-version 7")).unwrap_err();
-        assert!(e.0.contains("unknown sim version `7`"), "{e}");
-        assert!(e.0.contains("1, 2"), "error must list accepted set: {e}");
-    }
-
-    #[test]
-    fn profile_accepts_sim_version() {
-        for v in ["1", "2"] {
-            profile(&parse(&format!(
-                "profile --mechanism striping --samples 20 --max-us 25 --step-us 25 \
-                 --sim-version {v}"
-            )))
-            .expect("profile with sim version");
+    fn removed_flags_are_rejected_as_unknown() {
+        for (cmd, flag) in [
+            ("survey --hosts 3", "--sim-version 2"),
+            ("campaign --dir a", "--sim-version 2"),
+            ("profile --samples 20", "--sim-version 2"),
+            ("survey --hosts 3", "--no-reuse"),
+            ("campaign --dir a", "--no-reuse"),
+            ("survey --hosts 3", "--no-pool"),
+        ] {
+            let args = parse(&format!("{cmd} {flag}"));
+            let e = match args.command.as_deref() {
+                Some("survey") => survey(&args),
+                Some("campaign") => campaign(&args),
+                _ => profile(&args),
+            }
+            .unwrap_err();
+            let name = flag.split_whitespace().next().unwrap();
+            assert!(
+                e.0.starts_with("unknown") && e.0.ends_with(name),
+                "`{cmd} {flag}` must reject {name} as unknown: {e}"
+            );
         }
     }
 
     #[test]
-    fn survey_accepts_shard_and_no_reuse() {
-        survey(&parse(
-            "survey --hosts 6 --shard 2/3 --no-reuse --samples 3",
-        ))
-        .expect("shard");
+    fn survey_accepts_shard() {
+        survey(&parse("survey --hosts 6 --shard 2/3 --samples 3")).expect("shard");
     }
 
     #[test]

@@ -74,32 +74,6 @@ fn measure_is_deterministic_per_seed() {
 }
 
 #[test]
-fn survey_sim_versions_are_deterministic_and_distinct() {
-    let run = |v: &str| {
-        let (stdout, stderr, ok) = reorder(&[
-            "survey",
-            "--hosts",
-            "12",
-            "--samples",
-            "4",
-            "--seed",
-            "5",
-            "--sim-version",
-            v,
-        ]);
-        assert!(ok, "survey --sim-version {v} failed: {stderr}");
-        stdout
-    };
-    // Byte-deterministic per version...
-    assert_eq!(run("1"), run("1"), "v1 must be reproducible");
-    assert_eq!(run("2"), run("2"), "v2 must be reproducible");
-    // ...and the model swap is a declared break, not a no-op: seed 5's
-    // 12-host population draws a striping host whose estimates move, so
-    // the two versions' summaries differ.
-    assert_ne!(run("1"), run("2"), "versions must be distinguishable");
-}
-
-#[test]
 fn progress_never_touches_jsonl_stdout() {
     // `--jsonl -` owns stdout; heartbeat and summary ride stderr. The
     // machine-readable bytes must be identical with and without
@@ -308,6 +282,30 @@ fn shard_rejections_exit_nonzero_with_accepted_form() {
             "--shard {bad}: error must name the accepted form: {stderr}"
         );
     }
+}
+
+#[test]
+fn survey_footer_counts_only_its_shard() {
+    // Shard 2/5 of 10 hosts holds ids 2..4: the stderr footer must
+    // count the hosts this process surveyed, like the summary does.
+    let (stdout, stderr, ok) = reorder(&[
+        "survey",
+        "--hosts",
+        "10",
+        "--shard",
+        "2/5",
+        "--samples",
+        "3",
+    ]);
+    assert!(ok, "sharded survey failed: {stderr}");
+    assert!(
+        stdout.contains("campaign summary: 2 hosts"),
+        "summary must count the shard: {stdout}"
+    );
+    assert!(
+        stderr.contains("campaign: 2 hosts in "),
+        "footer must count the shard, not the population: {stderr}"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON extraction for the checkpoint formats.
 //!
-//! The campaign checkpoint documents (`reorder.checkpoint/1`,
+//! The campaign checkpoint documents (`reorder.checkpoint/2`,
 //! `reorder.shard/1`) and the exact-state serializers on [`Moments`],
 //! [`QuantileSketch`], `WorkerTelemetry` and `ShardAggregator` are all
 //! emitted by hand with stable key order; this module is the matching

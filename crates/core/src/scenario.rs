@@ -19,66 +19,6 @@ use reorder_tcpstack::{HostPersonality, TcpHost, TcpHostConfig};
 use reorder_wire::Ipv4Addr4;
 use std::time::Duration;
 
-/// Simulation format version: which model generation a scenario's
-/// stochastic path elements run.
-///
-/// Campaign output is a deterministic function of the configuration,
-/// so swapping a model's RNG-draw pattern is an output break even when
-/// the statistics are preserved. Breaks therefore land as a new
-/// version behind this switch (the survey's `--sim-version` flag), and
-/// the previous version stays constructible so historical reports
-/// remain reproducible byte for byte.
-///
-/// * [`V1`](SimVersion::V1) — the striping pipe replays its Poisson
-///   cross-traffic history per arrival
-///   ([`CrossTrafficModel::Replay`]).
-/// * [`V2`](SimVersion::V2) — the striping pipe draws the backlog from
-///   the stationary M/G/1 workload distribution in O(1)
-///   ([`CrossTrafficModel::Stationary`]); statistically equivalent
-///   (same stationary law, same §IV-C decay within test tolerance) and
-///   ~2x faster on full campaigns. The default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimVersion {
-    /// Campaign format v1: exact per-arrival cross-traffic replay.
-    V1,
-    /// Campaign format v2: O(1) stationary workload draws (default).
-    #[default]
-    V2,
-}
-
-impl SimVersion {
-    /// The cross-traffic backlog model this version runs in
-    /// [`StripingLink`]s.
-    pub fn cross_traffic_model(self) -> CrossTrafficModel {
-        match self {
-            SimVersion::V1 => CrossTrafficModel::Replay,
-            SimVersion::V2 => CrossTrafficModel::Stationary,
-        }
-    }
-}
-
-impl std::fmt::Display for SimVersion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SimVersion::V1 => "1",
-            SimVersion::V2 => "2",
-        })
-    }
-}
-
-impl std::str::FromStr for SimVersion {
-    type Err = String;
-
-    /// Accepts the numerals the CLI exposes (`1`/`2`, also `v1`/`v2`).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "1" | "v1" => Ok(SimVersion::V1),
-            "2" | "v2" => Ok(SimVersion::V2),
-            other => Err(format!("unknown sim version `{other}` (accepted: 1, 2)")),
-        }
-    }
-}
-
 /// Probe host address used by every scenario.
 pub const PROBE_ADDR: Ipv4Addr4 = Ipv4Addr4::new(10, 0, 0, 1);
 /// Target (virtual) address used by single-target scenarios.
@@ -285,27 +225,17 @@ pub fn load_balanced(
 /// The §IV-C physical-reordering path: probe — N-way striped link with
 /// Poisson cross-traffic — server. Reordering probability decays with
 /// the inter-packet gap; use with [`crate::metrics::GapProfile`].
-/// Runs the default [`SimVersion`] (v2, stationary backlog draws); use
-/// [`striped_path_with`] for v1's replay model.
 pub fn striped_path(cross: CrossTraffic, seed: u64) -> Scenario {
-    striped_path_with(
-        2,
-        1_000_000_000,
-        cross,
-        HostPersonality::freebsd4(),
-        SimVersion::default(),
-        seed,
-    )
+    striped_path_with(2, 1_000_000_000, cross, HostPersonality::freebsd4(), seed)
 }
 
-/// [`striped_path`] with explicit stripe width, per-link rate,
-/// personality and simulation version.
+/// [`striped_path`] with explicit stripe width, per-link rate and
+/// personality.
 pub fn striped_path_with(
     links: usize,
     bits_per_sec: u64,
     cross: CrossTraffic,
     personality: HostPersonality,
-    version: SimVersion,
     seed: u64,
 ) -> Scenario {
     let mut sim = Simulator::new(seed);
@@ -315,7 +245,7 @@ pub fn striped_path_with(
         links,
         bits_per_sec,
         Some(cross),
-        version.cross_traffic_model(),
+        CrossTrafficModel::Stationary,
         seed,
         "stripe",
     )));
@@ -459,9 +389,6 @@ pub struct HostSpec {
     /// (`None` for the cooperative majority). See
     /// [`reorder_netsim::pipes::FaultGate`].
     pub fault: Option<FaultClass>,
-    /// Simulation format version: selects the cross-traffic backlog
-    /// model of striping paths (inert for the other mechanisms).
-    pub sim_version: SimVersion,
 }
 
 impl HostSpec {
@@ -480,7 +407,6 @@ impl HostSpec {
             object_size: 12 * 1024,
             mechanism: PathMechanism::Dummynet,
             fault: None,
-            sim_version: SimVersion::default(),
         }
     }
 }
@@ -540,7 +466,6 @@ pub fn population(popular: usize, random: usize, seed: u64) -> Vec<HostSpec> {
             object_size: 16 * 1024,
             mechanism: PathMechanism::Dummynet,
             fault: None,
-            sim_version: SimVersion::default(),
         });
     }
     for i in 0..random {
@@ -570,7 +495,6 @@ pub fn population(popular: usize, random: usize, seed: u64) -> Vec<HostSpec> {
             },
             mechanism: PathMechanism::Dummynet,
             fault: None,
-            sim_version: SimVersion::default(),
         });
     }
     specs
@@ -592,9 +516,9 @@ pub fn population(popular: usize, random: usize, seed: u64) -> Vec<HostSpec> {
 /// the measurement pipeline never reads them — the taps' per-packet
 /// record clones are pure overhead at campaign scale. The returned
 /// [`Scenario`]'s trace handles are empty stand-ins.
+#[derive(Default)]
 pub struct ScenarioPool {
     sim: Option<Simulator>,
-    enabled: bool,
     events: u64,
     overflow: u64,
     cut_through: u64,
@@ -603,32 +527,9 @@ pub struct ScenarioPool {
 }
 
 impl ScenarioPool {
-    /// A pool that recycles simulators (the fast path).
+    /// An empty pool: its first build constructs a fresh simulator.
     pub fn new() -> Self {
-        ScenarioPool {
-            sim: None,
-            enabled: true,
-            events: 0,
-            overflow: 0,
-            cut_through: 0,
-            recycled: 0,
-            fresh: 0,
-        }
-    }
-
-    /// A pool that never recycles: every checkout constructs a fresh
-    /// [`Simulator`]. The ablation arm of the pooled-vs-fresh
-    /// determinism tests and the `--no-pool` campaign flag.
-    pub fn disabled() -> Self {
-        ScenarioPool {
-            enabled: false,
-            ..ScenarioPool::new()
-        }
-    }
-
-    /// Whether recycling is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+        ScenarioPool::default()
     }
 
     /// Simulator events absorbed from recycled scenarios so far — the
@@ -644,8 +545,7 @@ impl ScenarioPool {
     }
 
     /// How many builds constructed a fresh [`Simulator`] (pool
-    /// *misses*: the first build of every worker, plus every build of
-    /// a [`ScenarioPool::disabled`] pool).
+    /// *misses*: the first build of every worker).
     pub fn fresh_builds(&self) -> u64 {
         self.fresh
     }
@@ -667,42 +567,33 @@ impl ScenarioPool {
 
     fn checkout(&mut self, seed: u64) -> Simulator {
         match self.sim.take() {
-            Some(mut sim) if self.enabled => {
+            Some(mut sim) => {
                 sim.reset(seed);
                 self.recycled += 1;
                 sim
             }
-            _ => {
+            None => {
                 self.fresh += 1;
                 Simulator::new(seed)
             }
         }
     }
 
-    /// Absorb a finished scenario: bank its event count and (when
-    /// enabled) keep its simulator for the next build. Call after the
-    /// scenario's last traffic (sessions closed) so teardown events are
-    /// counted.
+    /// Absorb a finished scenario: bank its event count and keep its
+    /// simulator for the next build. Call after the scenario's last
+    /// traffic (sessions closed) so teardown events are counted.
     pub fn recycle(&mut self, scenario: Scenario) {
         let sim = scenario.prober.into_sim();
         self.events += sim.events_processed();
         self.overflow += sim.overflow_events();
         self.cut_through += sim.cut_through_hops();
-        if self.enabled {
-            self.sim = Some(sim);
-        }
+        self.sim = Some(sim);
     }
 
     /// Headless pooled build of [`internet_host`] (see the type docs).
     pub fn internet_host(&mut self, spec: &HostSpec, seed: u64) -> Scenario {
         let sim = self.checkout(seed);
         build_internet_host(sim, spec, false)
-    }
-}
-
-impl Default for ScenarioPool {
-    fn default() -> Self {
-        ScenarioPool::new()
     }
 }
 
@@ -753,7 +644,7 @@ fn build_internet_host(mut sim: Simulator, spec: &HostSpec, taps: bool) -> Scena
             links,
             bits_per_sec,
             Some(CrossTraffic::backbone()),
-            spec.sim_version.cross_traffic_model(),
+            CrossTrafficModel::Stationary,
             seed,
             "stripe",
         )),
@@ -978,17 +869,6 @@ mod tests {
         assert_eq!(pool.recycled(), 3, "first build had nothing to recycle");
         assert!(pool.events_absorbed() > 0);
         assert!(pool.cut_through_absorbed() > 0);
-    }
-
-    #[test]
-    fn disabled_pool_never_recycles() {
-        let mut pool = ScenarioPool::disabled();
-        let spec = HostSpec::clean("fresh", HostPersonality::freebsd4());
-        let sc = pool.internet_host(&spec, 1);
-        pool.recycle(sc);
-        let _sc = pool.internet_host(&spec, 2);
-        assert_eq!(pool.recycled(), 0);
-        assert!(!pool.is_enabled());
     }
 
     #[test]

@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn keep_alive_without_session_reuse_closes_politely() {
-        // `--no-reuse` semantics: the keep-alive fetch still works, but
+        // A non-reusing session: the keep-alive fetch still works, but
         // the checkin closes the connection, so every round handshakes.
         use crate::measurer::{Session, Technique};
         let mut sc = scenario::validation_rig(0.0, 0.0, 86);

@@ -21,24 +21,24 @@
 //! How a probe's queue backlog is produced is selected by
 //! [`CrossTrafficModel`] (see [`super::stationary`] for the theory):
 //!
-//! * **`Replay` (campaign v1)** — [`Self::lazy_update`] replays every
-//!   Poisson burst since the queue's last update, an exact workload
-//!   recursion `V(t) = max(V(s) − (t−s), 0) + arrivals`. Burst
-//!   correlation across arrivals is preserved exactly, at ~2λ·window
-//!   RNG draws per update (~2,700 per capped 100 ms window at backbone
-//!   rates — the v1 campaign hot-path wall).
-//! * **`Stationary` (campaign v2, default)** — one inverse-transform
-//!   draw from the stationary Pollaczek–Khinchine workload per
-//!   arrival: an atom `P(V=0) = 1−ρ` plus an exponential tail. O(1)
-//!   per arrival, independent across arrivals.
+//! * **`Stationary` (the model every scenario runs)** — one
+//!   inverse-transform draw from the stationary Pollaczek–Khinchine
+//!   workload per arrival: an atom `P(V=0) = 1−ρ` plus an exponential
+//!   tail. O(1) per arrival, independent across arrivals.
+//! * **`Replay` (the test oracle)** — [`Self::lazy_update`] replays
+//!   every Poisson burst since the queue's last update, an exact
+//!   workload recursion `V(t) = max(V(s) − (t−s), 0) + arrivals`.
+//!   Burst correlation across arrivals is preserved exactly, at
+//!   ~2λ·window RNG draws per update (~2,700 per capped 100 ms window
+//!   at backbone rates).
 //!
 //! The models share the stability contract ([`CrossTraffic`]
 //! utilization < 0.95, asserted in [`StripingLink::new`]) and the same
 //! stationary backlog law — the tests below bound the KS distance
 //! between the replay's empirical backlog distribution and the
 //! stationary sampler's, and between the two models' pair-reorder
-//! decay curves. Their RNG streams differ, so swapping models is a
-//! declared output break (the survey's `--sim-version` switch).
+//! decay curves. That equivalence is the replay's only job: it keeps
+//! the O(1) sampler honest against the exact sample path.
 
 use super::other;
 use super::stationary::{CrossTrafficModel, StationarySampler};
@@ -461,15 +461,15 @@ mod tests {
         for (i, gap_us) in [0u64, 25, 50, 100, 150, 250].into_iter().enumerate() {
             let gap = Duration::from_micros(gap_us);
             let seed = 900 + i as u64;
-            let v1 = pair_reorder_rate(CrossTrafficModel::Replay, gap, trials, seed);
-            let v2 = pair_reorder_rate(CrossTrafficModel::Stationary, gap, trials, seed);
-            max_diff = max_diff.max((v1 - v2).abs());
+            let replay = pair_reorder_rate(CrossTrafficModel::Replay, gap, trials, seed);
+            let stationary = pair_reorder_rate(CrossTrafficModel::Stationary, gap, trials, seed);
+            max_diff = max_diff.max((replay - stationary).abs());
         }
         // Two-sample binomial noise at n=500 and p~0.1 is ~2.6% at
         // 95%; 0.05 leaves headroom without letting the curves drift.
         assert!(
             max_diff < 0.05,
-            "decay curves disagree: max |v1 - v2| = {max_diff}"
+            "decay curves disagree: max |replay - stationary| = {max_diff}"
         );
     }
 

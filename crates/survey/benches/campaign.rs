@@ -27,29 +27,22 @@ fn bench_campaign(c: &mut Criterion) {
         });
     }
 
-    // The connection-reuse claim, measured: the same campaign with the
-    // per-host session fast path on (one scenario, shared handshakes,
-    // one IPID validation) vs. off (the PR 2 per-phase protocol). The
-    // full pipeline — amenability + measurement + transfer baseline —
-    // is where reuse pays; `reuse_on` should come in ~30% under
-    // `reuse_off` per host.
-    for (label, reuse) in [("reuse_on", true), ("reuse_off", false)] {
-        g.bench_function(BenchmarkId::new("full_pipeline_32_hosts", label), |b| {
-            b.iter(|| {
-                let cfg = CampaignConfig {
-                    hosts,
-                    workers: 1,
-                    seed: 0xBE,
-                    samples: 8,
-                    technique: TechniqueChoice::Auto,
-                    baseline: true,
-                    reuse,
-                    ..CampaignConfig::default()
-                };
-                black_box(run_campaign(&cfg, None::<&mut Vec<u8>>).unwrap())
-            })
-        });
-    }
+    // The full pipeline — amenability + measurement + transfer
+    // baseline — on one worker.
+    g.bench_function("full_pipeline_32_hosts", |b| {
+        b.iter(|| {
+            let cfg = CampaignConfig {
+                hosts,
+                workers: 1,
+                seed: 0xBE,
+                samples: 8,
+                technique: TechniqueChoice::Auto,
+                baseline: true,
+                ..CampaignConfig::default()
+            };
+            black_box(run_campaign(&cfg, None::<&mut Vec<u8>>).unwrap())
+        })
+    });
     g.bench_function("amenability_only_32_hosts", |b| {
         b.iter(|| {
             let cfg = CampaignConfig {
@@ -62,24 +55,6 @@ fn bench_campaign(c: &mut Criterion) {
             black_box(run_campaign(&cfg, None::<&mut Vec<u8>>).unwrap())
         })
     });
-    // The simulator-pool ablation: identical output (asserted by the
-    // determinism suite), the pool only recycles allocations.
-    for (label, pool) in [("pool_on", true), ("pool_off", false)] {
-        g.bench_function(BenchmarkId::new("full_pipeline_32_hosts", label), |b| {
-            b.iter(|| {
-                let cfg = CampaignConfig {
-                    hosts,
-                    workers: 1,
-                    seed: 0xBE,
-                    samples: 8,
-                    technique: TechniqueChoice::Auto,
-                    pool,
-                    ..CampaignConfig::default()
-                };
-                black_box(run_campaign(&cfg, None::<&mut Vec<u8>>).unwrap())
-            })
-        });
-    }
     g.finish();
 
     // The headline scale point the perf trajectory tracks (see

@@ -469,7 +469,7 @@ impl CampaignSummary {
     /// field an integer, fixed-point moments document, sketch document
     /// or map thereof, so [`CampaignSummary::from_json`] restores state
     /// that merges and renders bit-identically to the original. This is
-    /// the `reorder.checkpoint/1` payload; the human table stays in
+    /// the `reorder.checkpoint/2` payload; the human table stays in
     /// [`CampaignSummary::render`].
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);

@@ -18,13 +18,13 @@ use crate::report::jsonl_line;
 use crate::scheduler::{
     resolve_workers, run_folded_probed, run_sharded_probed, PoolStats, RunProbe,
 };
-use reorder_core::scenario::{ScenarioPool, SimVersion};
+use reorder_core::scenario::ScenarioPool;
 use reorder_core::telemetry::{intern_label, TelemetryMode, WorkerTelemetry};
 use reorder_core::Budget;
 use reorder_netsim::rng as simrng;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Everything a campaign needs.
@@ -48,23 +48,6 @@ pub struct CampaignConfig {
     pub amenability_only: bool,
     /// Inter-packet gaps (µs) for a campaign-level gap profile.
     pub gaps_us: Vec<u64>,
-    /// Share one scenario + connection-caching session across each
-    /// host's phases (amenability, rounds, baseline, gap sweep) — see
-    /// [`crate::pipeline`]. On by default; off reproduces the PR 2
-    /// per-phase protocol.
-    pub reuse: bool,
-    /// Recycle each worker's simulator allocations across hosts via a
-    /// [`ScenarioPool`]. On by default; `--no-pool` is the ablation
-    /// arm (byte-identical output, fresh construction per host).
-    pub pool: bool,
-    /// Simulation format version (the CLI's `--sim-version`): v2
-    /// (default) draws striping cross-traffic backlogs from the
-    /// stationary M/G/1 workload distribution in O(1); v1 replays the
-    /// Poisson burst history per arrival, reproducing pre-v2 campaign
-    /// bytes. Output is byte-deterministic *per version* (the
-    /// versions' reports intentionally differ — a declared output
-    /// break).
-    pub sim_version: SimVersion,
     /// Retain per-host [`HostReport`]s in [`CampaignOutcome::reports`].
     /// On by default (library callers inspect them); the CLI turns it
     /// off unless `--per-host` asks for the table. When off **and** no
@@ -127,9 +110,6 @@ impl Default for CampaignConfig {
             baseline: true,
             amenability_only: false,
             gaps_us: Vec::new(),
-            reuse: true,
-            pool: true,
-            sim_version: SimVersion::default(),
             keep_reports: true,
             telemetry: TelemetryMode::Off,
             progress: false,
@@ -183,7 +163,6 @@ pub fn run_campaign<W: Write>(
         baseline: cfg.baseline,
         amenability_only: cfg.amenability_only,
         gaps_us: cfg.gaps_us.clone(),
-        reuse: cfg.reuse,
         telemetry: cfg.telemetry,
         budget: cfg.budget,
     };
@@ -195,27 +174,16 @@ pub fn run_campaign<W: Write>(
         None => (0, cfg.hosts),
     };
 
-    // One simulator pool per worker: recycled allocations, never
-    // shared results (simulations are !Send anyway).
-    let mk_pool = || {
-        if cfg.pool {
-            ScenarioPool::new()
-        } else {
-            ScenarioPool::disabled()
-        }
-    };
     // The per-host pipeline, shared by both consumption paths: a pure
     // function of (config, master seed, absolute id) — never of the
-    // worker that runs it. Telemetry observes into `tel` and never
-    // feeds back into the report.
+    // worker that runs it. Each worker keeps one simulator pool
+    // (recycled allocations, never shared results; simulations are
+    // !Send anyway). Telemetry observes into `tel` and never feeds
+    // back into the report.
     let job = &job;
     let run_host = |pool: &mut ScenarioPool, tel: &mut WorkerTelemetry, i: usize| -> HostReport {
         let id = (lo + i) as u64;
-        let mut spec = cfg.model.host(id, cfg.seed);
-        // The version is configuration, not population: stamp it after
-        // generation so v1 and v2 campaigns draw identical host specs
-        // from identical RNG streams.
-        spec.sim_version = cfg.sim_version;
+        let spec = cfg.model.host(id, cfg.seed);
         let host_seed = simrng::derive_seed(cfg.seed, &format!("survey.run.{id}"));
         let report = survey_host_traced(id, &spec, host_seed, job, pool, tel);
         // Outcome counters ride the worker's own telemetry, so they
@@ -250,7 +218,7 @@ pub fn run_campaign<W: Write>(
                 cfg.workers,
                 |_w| {
                     (
-                        mk_pool(),
+                        ScenarioPool::new(),
                         (ShardAggregator::default(), WorkerTelemetry::new()),
                     )
                 },
@@ -304,13 +272,17 @@ pub fn run_campaign<W: Write>(
             jobs,
             cfg.workers,
             |w| {
-                let mut pool = mk_pool();
+                let mut pool = ScenarioPool::new();
                 let slot = &tel_slots[w];
                 move |i| {
                     let mut tel = WorkerTelemetry::new();
                     let report = run_host(&mut pool, &mut tel, i);
                     if mode.is_enabled() {
-                        slot.lock().expect("telemetry slot poisoned").merge(&tel);
+                        // A slot is only poisoned by a worker panic,
+                        // which the thread scope re-raises anyway.
+                        slot.lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .merge(&tel);
                     }
                     report
                 }
@@ -349,7 +321,7 @@ pub fn run_campaign<W: Write>(
         if mode.is_enabled() {
             telemetry.per_worker = tel_slots
                 .into_iter()
-                .map(|m| m.into_inner().expect("telemetry slot poisoned"))
+                .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
                 .collect();
         }
         attach_scheduler_counters(&mut telemetry, &stats);

@@ -20,11 +20,11 @@
 //!    through `reorder_core`'s unified [`Technique`](reorder_core::Technique)
 //!    registry: IPID validation first, Dual Connection Test where
 //!    amenable, SYN-test fallback, data-transfer baseline; recorded as
-//!    an amenability verdict plus per-direction estimates. By default
-//!    each host's phases share one connection-caching
+//!    an amenability verdict plus per-direction estimates. Each host's
+//!    phases share one connection-caching
 //!    [`Session`](reorder_core::Session) (amenability probe,
 //!    measurement, baseline and gap sweep reuse handshakes and the
-//!    validation verdict — the per-host fast path).
+//!    validation verdict).
 //! 4. [`aggregate`] + [`report`] — sharded, mergeable streaming
 //!    aggregation (order-independent mean/CI via
 //!    `reorder_core::stats::Moments`, mergeable quantile sketches over
@@ -75,7 +75,6 @@ pub use engine::{run_campaign, shard_bounds, CampaignConfig, CampaignOutcome};
 pub use metrics::{CampaignTelemetry, METRICS_SCHEMA};
 pub use pipeline::{HostJob, HostOutcome, HostReport, TechniqueChoice};
 pub use population::PopulationModel;
-pub use reorder_core::scenario::SimVersion;
 pub use reorder_core::telemetry::{TelemetryMode, WorkerTelemetry};
 pub use reorder_core::{Budget, HostErrorKind};
 pub use state::{run_shard, seal, unseal, ShardState, SHARD_SCHEMA};

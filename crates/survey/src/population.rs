@@ -16,7 +16,7 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use reorder_core::scenario::{FaultClass, HostSpec, PathMechanism, SimVersion};
+use reorder_core::scenario::{FaultClass, HostSpec, PathMechanism};
 use reorder_netsim::rng as simrng;
 use reorder_tcpstack::HostPersonality;
 use std::time::Duration;
@@ -217,10 +217,6 @@ impl PopulationModel {
             object_size,
             mechanism,
             fault,
-            // Not drawn: the campaign engine stamps its configured
-            // version on every spec (no RNG involved, so v1 and v2
-            // populations are otherwise identical).
-            sim_version: SimVersion::default(),
         }
     }
 }

@@ -1,11 +1,11 @@
 //! The campaign engine's headline guarantee: a campaign's output is a
 //! pure function of its config — the worker count changes wall-clock
-//! time, never a byte of the report. Since campaign format v2 the
-//! config includes the simulation version: output is byte-identical
-//! per version (v1's replayed cross traffic, v2's stationary draws),
-//! and the versions intentionally differ from each other.
+//! time, never a byte of the report.
 
-use reorder_survey::{run_campaign, CampaignConfig, SimVersion, TechniqueChoice};
+use reorder_netsim::rng::derive_seed;
+use reorder_survey::pipeline::survey_host;
+use reorder_survey::report::jsonl_line;
+use reorder_survey::{run_campaign, CampaignConfig, HostJob, TechniqueChoice};
 
 fn campaign_jsonl(hosts: usize, workers: usize, seed: u64) -> (Vec<u8>, String) {
     let cfg = CampaignConfig {
@@ -83,40 +83,33 @@ fn concatenated_shards_equal_the_unsharded_report() {
     assert_eq!(whole, run(Some((1, 1))));
 }
 
-/// Connection reuse is a per-host speed path: it must not break the
-/// worker-count determinism guarantee, and reuse-off output must also
-/// be deterministic.
-#[test]
-fn reuse_off_is_deterministic_across_workers_too() {
-    let run = |workers: usize| -> Vec<u8> {
-        let cfg = CampaignConfig {
-            hosts: 40,
-            workers,
-            seed: 3,
-            samples: 4,
-            reuse: false,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        buf
-    };
-    assert_eq!(run(1), run(6));
-}
-
 /// The simulator pool only recycles allocations: a campaign on pooled
-/// (reset) simulators is byte-identical to fresh construction, across
-/// worker counts and shard splits — `Simulator::reset`'s contract,
-/// asserted end to end.
+/// (reset) simulators is byte-identical to building every host on a
+/// new `Simulator` — `Simulator::reset`'s contract, asserted end to
+/// end. The reference is per-host `survey_host` (whose throwaway pool
+/// builds fresh) rendered through `jsonl_line`, against pooled
+/// campaigns across worker counts and stitched shards.
 #[test]
 fn pooled_and_fresh_construction_are_byte_identical() {
-    let run = |pool: bool, workers: usize, shard: Option<(usize, usize)>| -> Vec<u8> {
+    let (hosts, seed, samples) = (60usize, 12u64, 4usize);
+    let job = HostJob {
+        samples,
+        ..HostJob::default()
+    };
+    let model = CampaignConfig::default().model;
+    let mut fresh = Vec::new();
+    for id in 0..hosts as u64 {
+        let spec = model.host(id, seed);
+        let host_seed = derive_seed(seed, &format!("survey.run.{id}"));
+        fresh.extend(jsonl_line(&survey_host(id, &spec, host_seed, &job)).into_bytes());
+        fresh.push(b'\n');
+    }
+    let run = |workers: usize, shard: Option<(usize, usize)>| -> Vec<u8> {
         let cfg = CampaignConfig {
-            hosts: 60,
+            hosts,
             workers,
-            seed: 12,
-            samples: 4,
-            pool,
+            seed,
+            samples,
             shard,
             ..CampaignConfig::default()
         };
@@ -124,92 +117,17 @@ fn pooled_and_fresh_construction_are_byte_identical() {
         run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
         buf
     };
-    let fresh = run(false, 1, None);
-    // Pooled, serial: every host after a worker's first rides a reset
+    // Serial: every host after the worker's first rides a reset
     // simulator.
-    assert_eq!(run(true, 1, None), fresh, "pooled vs fresh (1 worker)");
-    // Pooled, parallel: each worker recycles its own pool.
-    assert_eq!(run(true, 4, None), fresh, "pooled vs fresh (4 workers)");
-    // Pooled, sharded: concatenated pooled shards equal the fresh whole.
+    assert_eq!(run(1, None), fresh, "pooled vs fresh (1 worker)");
+    // Parallel: each worker recycles its own pool.
+    assert_eq!(run(4, None), fresh, "pooled vs fresh (4 workers)");
+    // Sharded: concatenated pooled shards equal the fresh whole.
     let mut stitched = Vec::new();
     for k in 1..=3 {
-        stitched.extend(run(true, 2, Some((k, 3))));
+        stitched.extend(run(2, Some((k, 3))));
     }
     assert_eq!(stitched, fresh, "pooled shards vs fresh whole");
-}
-
-/// Per-version determinism, the campaign v2 contract: under either
-/// `--sim-version`, the report is byte-identical across worker counts,
-/// shard splits and simulator pooling. (The striping-heavy model makes
-/// sure both cross-traffic models are actually exercised.)
-#[test]
-fn each_sim_version_is_deterministic_across_workers_shards_and_pool() {
-    let run = |v: SimVersion, workers: usize, pool: bool, shard: Option<(usize, usize)>| {
-        let cfg = CampaignConfig {
-            hosts: 48,
-            workers,
-            seed: 14,
-            samples: 4,
-            pool,
-            sim_version: v,
-            shard,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        (buf, out.summary.render())
-    };
-    for version in [SimVersion::V1, SimVersion::V2] {
-        let (whole, summary) = run(version, 1, true, None);
-        // Workers must not change a byte.
-        assert_eq!(
-            run(version, 6, true, None),
-            (whole.clone(), summary.clone()),
-            "v{version}"
-        );
-        // Pooling must not change a byte.
-        assert_eq!(run(version, 2, false, None).0, whole, "v{version} pool");
-        // Concatenated shards must reproduce the whole report.
-        let mut stitched = Vec::new();
-        for k in 1..=3 {
-            stitched.extend(run(version, 2, true, Some((k, 3))).0);
-        }
-        assert_eq!(stitched, whole, "v{version} shards");
-    }
-}
-
-/// The model swap is a *declared* output break: same config, different
-/// `--sim-version`, different bytes (only striping hosts' lines move —
-/// the other mechanisms draw no cross traffic).
-#[test]
-fn sim_versions_differ_only_where_striping_draws() {
-    let run = |v: SimVersion| {
-        let cfg = CampaignConfig {
-            hosts: 48,
-            workers: 2,
-            seed: 14,
-            samples: 4,
-            sim_version: v,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        String::from_utf8(buf).expect("JSONL is UTF-8")
-    };
-    let v1 = run(SimVersion::V1);
-    let v2 = run(SimVersion::V2);
-    assert_ne!(v1, v2, "the versions must be distinguishable");
-    let mut changed = 0;
-    for (a, b) in v1.lines().zip(v2.lines()) {
-        if a != b {
-            changed += 1;
-            assert!(
-                a.contains("\"mechanism\":\"striping\""),
-                "only striping hosts may move between versions: {a}"
-            );
-        }
-    }
-    assert!(changed > 0, "seed 14 must draw at least one striping host");
 }
 
 /// FNV-1a 64 over a byte stream — the pinned-golden fingerprint.
@@ -222,29 +140,25 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The pinned v1 smoke: campaign format v1 keeps historical reports
-/// reproducible, so its bytes for a reference config are pinned by
-/// hash, not merely compared run-to-run. Pinned at the v2 landing
-/// (after the Poisson-underflow bugfix — the one declared v1 change:
-/// capped replay windows ran Knuth's method past the `exp(-λ)`
-/// underflow and drew counts biased ~17% low; see
-/// `striping::poisson`). Re-bless deliberately, never casually: these
-/// constants are what makes a v1 report from one build comparable to
-/// another's.
+/// The pinned smoke: the report bytes for a reference config are
+/// pinned by hash, not merely compared run-to-run. The JSONL pin was
+/// captured before the sharded-aggregation refactor, so it proves the
+/// funnel rework did not move a byte; the summary pin is the stdout of
+/// `reorder survey --hosts 40 --workers 2 --seed 1`. Re-bless
+/// deliberately, never casually: these constants are what makes a
+/// report from one build comparable to another's.
 #[test]
-fn pinned_v1_smoke_reproduces_historical_bytes() {
+fn pinned_smoke_reproduces_historical_bytes() {
     // Re-blessed at the hostile-host landing: every JSONL line gained
     // an `"outcome"` field (complete/degraded/failed classification)
-    // and the summary footer a failures line plus failure-taxonomy
-    // table — a declared output break. Measurement bytes (verdicts,
-    // rates, samples) did not move; only the new fields landed.
-    const PINNED_JSONL_FNV1A: u64 = 0xefe4_4878_dd8c_5ac2;
-    const PINNED_SUMMARY_FNV1A: u64 = 0xe2cc_5706_f46d_21ae;
+    // — a declared output break. Measurement bytes (verdicts, rates,
+    // samples) did not move; only the new field landed.
+    const PINNED_JSONL_FNV1A: u64 = 0x5834_53a5_b0b1_1bf7;
+    const PINNED_SUMMARY_FNV1A: u64 = 0xc36a_7952_5db8_fd2c;
     let cfg = CampaignConfig {
         hosts: 40,
         workers: 2,
         seed: 1,
-        sim_version: SimVersion::V1,
         ..CampaignConfig::default()
     };
     let mut buf = Vec::new();
@@ -252,38 +166,13 @@ fn pinned_v1_smoke_reproduces_historical_bytes() {
     assert_eq!(
         fnv1a64(&buf),
         PINNED_JSONL_FNV1A,
-        "v1 JSONL bytes moved — campaign v1 is the frozen format; if this \
-         is an intended declared break, re-bless the pinned hashes"
+        "JSONL bytes moved — if this is an intended declared break, \
+         re-bless the pinned hash"
     );
     assert_eq!(
         fnv1a64(out.summary.render().as_bytes()),
         PINNED_SUMMARY_FNV1A,
-        "v1 summary bytes moved — campaign v1 is the frozen format"
-    );
-}
-
-/// The pinned v2 smoke: the same reference config under `--sim-version
-/// 2` (stationary cross-traffic draws). Captured immediately before
-/// the sharded-aggregation refactor, so it proves the funnel rework
-/// did not move a byte of the current-format JSONL either.
-#[test]
-fn pinned_v2_smoke_reproduces_historical_bytes() {
-    // Re-blessed at the hostile-host landing (new `"outcome"` JSONL
-    // field), same declared break as the v1 pin above.
-    const PINNED_JSONL_FNV1A: u64 = 0x5834_53a5_b0b1_1bf7;
-    let cfg = CampaignConfig {
-        hosts: 40,
-        workers: 2,
-        seed: 1,
-        sim_version: SimVersion::V2,
-        ..CampaignConfig::default()
-    };
-    let mut buf = Vec::new();
-    run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-    assert_eq!(
-        fnv1a64(&buf),
-        PINNED_JSONL_FNV1A,
-        "v2 JSONL bytes moved — if this is an intended declared break, \
+        "summary bytes moved — if this is an intended declared break, \
          re-bless the pinned hash"
     );
 }
@@ -291,18 +180,17 @@ fn pinned_v2_smoke_reproduces_historical_bytes() {
 /// The funnel-free path (no sink, `keep_reports: false` — per-worker
 /// `ShardAggregator`s merged at the end, no id-order reorder buffer)
 /// must render the same summary as the ordered path, for every worker
-/// count and with pooling on or off. This is the tentpole guarantee:
+/// count. This is the tentpole guarantee:
 /// summary state is a commutative monoid, so the nondeterministic
 /// work-stealing partition cannot leak into the output.
 #[test]
 fn funnel_free_summary_matches_ordered_path_across_workers() {
-    let run = |workers: usize, keep_reports: bool, pool: bool| -> String {
+    let run = |workers: usize, keep_reports: bool| -> String {
         let cfg = CampaignConfig {
             hosts: 48,
             workers,
             seed: 14,
             samples: 4,
-            pool,
             keep_reports,
             ..CampaignConfig::default()
         };
@@ -315,15 +203,13 @@ fn funnel_free_summary_matches_ordered_path_across_workers() {
         assert_eq!(out.summary.hosts, 48);
         out.summary.render()
     };
-    let ordered = run(1, true, true);
+    let ordered = run(1, true);
     for workers in [1, 2, 8] {
-        for pool in [true, false] {
-            assert_eq!(
-                run(workers, false, pool),
-                ordered,
-                "funnel-free summary diverged (workers {workers}, pool {pool})"
-            );
-        }
+        assert_eq!(
+            run(workers, false),
+            ordered,
+            "funnel-free summary diverged (workers {workers})"
+        );
     }
 }
 
@@ -358,57 +244,30 @@ fn merged_shard_summaries_equal_the_unsharded_summary() {
     assert_eq!(merged.hosts, whole.hosts);
 }
 
-/// Telemetry observes, never participates: the pinned v1/v2 reference
-/// bytes must not move under `Full` instrumentation — the strongest
-/// form of the "`--metrics` changes no output byte" contract, checked
-/// against the frozen-format hashes rather than a sibling run.
+/// Telemetry observes, never participates: the pinned reference bytes
+/// must not move under `Full` instrumentation — the strongest form of
+/// the "`--metrics` changes no output byte" contract, checked against
+/// the pinned hash rather than a sibling run.
 #[test]
 fn full_telemetry_reproduces_the_pinned_bytes() {
     use reorder_survey::TelemetryMode;
-    for (version, pinned) in [
-        (SimVersion::V1, 0xefe4_4878_dd8c_5ac2_u64),
-        (SimVersion::V2, 0x5834_53a5_b0b1_1bf7_u64),
-    ] {
-        let cfg = CampaignConfig {
-            hosts: 40,
-            workers: 2,
-            seed: 1,
-            sim_version: version,
-            telemetry: TelemetryMode::Full,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        assert_eq!(
-            fnv1a64(&buf),
-            pinned,
-            "{version:?}: telemetry must not change a byte of the report"
-        );
-        // And it did actually record: every host leaves a span.
-        assert_eq!(
-            out.telemetry.merged().span_stats("host").map(|s| s.count()),
-            Some(40)
-        );
-    }
-}
-
-/// The reuse-off (per-phase scenario) protocol builds many scenarios
-/// per host — the pool's busiest recycling pattern must be inert too.
-#[test]
-fn pooled_matches_fresh_under_reuse_off() {
-    let run = |pool: bool| -> Vec<u8> {
-        let cfg = CampaignConfig {
-            hosts: 24,
-            workers: 2,
-            seed: 8,
-            samples: 3,
-            reuse: false,
-            pool,
-            ..CampaignConfig::default()
-        };
-        let mut buf = Vec::new();
-        run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
-        buf
+    let cfg = CampaignConfig {
+        hosts: 40,
+        workers: 2,
+        seed: 1,
+        telemetry: TelemetryMode::Full,
+        ..CampaignConfig::default()
     };
-    assert_eq!(run(true), run(false));
+    let mut buf = Vec::new();
+    let out = run_campaign(&cfg, Some(&mut buf)).expect("in-memory sink");
+    assert_eq!(
+        fnv1a64(&buf),
+        0x5834_53a5_b0b1_1bf7,
+        "telemetry must not change a byte of the report"
+    );
+    // And it did actually record: every host leaves a span.
+    assert_eq!(
+        out.telemetry.merged().span_stats("host").map(|s| s.count()),
+        Some(40)
+    );
 }
