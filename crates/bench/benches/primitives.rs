@@ -145,7 +145,7 @@ fn bench_engine(c: &mut Criterion) {
 /// The aggregation-primitive pair behind every per-host rate the
 /// campaign absorbs: the mergeable quantile sketch vs the fixed-bucket
 /// histogram it replaced as the summary's source of truth. Also the
-/// shard-merge cost, the one step the funnel-free path added.
+/// shard-merge cost, the one step the per-worker fold adds.
 fn bench_stats(c: &mut Criterion) {
     // A deterministic rate stream shaped like campaign output: mostly
     // small positive rates, some exact zeros.

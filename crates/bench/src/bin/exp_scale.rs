@@ -41,7 +41,7 @@ fn measure(name: &'static str, cfg: &CampaignConfig, runs: usize) -> Row {
         let out: CampaignOutcome =
             run_campaign(cfg, None::<&mut Vec<u8>>).expect("no sink, no error");
         wall = wall.min(started.elapsed().as_secs_f64());
-        // Summary-only configs (the funnel-free path) keep no per-host
+        // Summary-only configs (no ordered consumer) keep no per-host
         // reports; the summary still accounts for every host.
         let kept = if cfg.keep_reports { cfg.hosts } else { 0 };
         assert_eq!(out.reports.len(), kept);
@@ -233,9 +233,11 @@ fn main() {
     // Orchestration overhead: the same v2 full pipeline driven by the
     // campaign orchestrator — shard planning, in-process supervision,
     // and a sealed checkpoint written at every shard boundary — vs the
-    // plain engine call. Same paired median-of-ratios discipline as the
-    // telemetry arm: per-pair ratios cancel shared-runner drift, the
-    // median discards interference spikes.
+    // plain engine call. Both arms keep no per-host reports (the
+    // orchestrator's shard runs never do), so the ratio prices
+    // orchestration alone. Same paired median-of-ratios discipline as
+    // the telemetry arm: per-pair ratios cancel shared-runner drift,
+    // the median discards interference spikes.
     let campaign_shards = 4usize;
     let (campaign_frac, campaign_wall) = {
         let dir =
@@ -263,9 +265,13 @@ fn main() {
             workers,
             telemetry: TelemetryMode::Off,
         };
-        let time_plain = |cfg: &CampaignConfig| {
+        let plain = CampaignConfig {
+            keep_reports: false,
+            ..base.clone()
+        };
+        let time_plain = || {
             let started = Instant::now();
-            run_campaign(cfg, None::<&mut Vec<u8>>).expect("no sink, no error");
+            run_campaign(&plain, None::<&mut Vec<u8>>).expect("no sink, no error");
             started.elapsed().as_secs_f64()
         };
         let orchestrated = |wall_min: &mut f64| {
@@ -280,7 +286,7 @@ fn main() {
         };
         let mut wall_min = f64::INFINITY;
         let mut ratios: Vec<f64> = (0..runs.max(9))
-            .map(|_| time_plain(&base) / orchestrated(&mut wall_min))
+            .map(|_| time_plain() / orchestrated(&mut wall_min))
             .collect();
         ratios.sort_by(f64::total_cmp);
         let _ = std::fs::remove_dir_all(&dir);
@@ -299,13 +305,13 @@ fn main() {
     }
 
     // Multi-core scaling: the same v2 full pipeline, summary-only
-    // (`keep_reports: false`, no sink), which takes the funnel-free
-    // sharded-fold path — per-worker aggregators, no id-order reorder
-    // buffer — at increasing worker counts. Recorded per worker count
-    // so the scaling curve is a trajectory, not a claim.
+    // (`keep_reports: false`, no sink), so no ordered consumer is
+    // attached — per-worker aggregators, no id-order reorder buffer —
+    // at increasing worker counts. Recorded per worker count so the
+    // scaling curve is a trajectory, not a claim.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!();
-    println!("scaling (v2 full, summary-only / funnel-free; {cores} core(s) available):");
+    println!("scaling (v2 full, summary-only; {cores} core(s) available):");
     rule(84);
     let scaling: Vec<(usize, Row)> = [
         ("scale_w1", 1),
@@ -455,7 +461,7 @@ fn main() {
                 failed = true;
             }
         }
-        // Scaling gate: the funnel-free path must never make adding
+        // Scaling gate: a summary-only campaign must never make adding
         // workers a net loss. The floor is a fraction of the summary-only
         // 1-worker rate that the *best* multi-worker run must clear —
         // honest on a 1-core runner (where the best achievable is ~1x

@@ -11,11 +11,13 @@ use reorder_core::scenario;
 use reorder_core::validate::validate_run;
 use reorder_core::{technique, Measurer, Session, TestKind};
 use reorder_netsim::pipes::{ArqConfig, CrossTraffic};
+use reorder_survey::scheduler::{self, RunProbe};
 use reorder_survey::{
     run_campaign, Budget, CampaignTelemetry, ShardAggregator, ShardState, TechniqueChoice,
     TelemetryMode,
 };
 use reorder_tcpstack::HostPersonality;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -55,18 +57,21 @@ fn fmt_estimate(label: &str, e: ReorderEstimate) -> String {
     )
 }
 
+/// The flags `measure` accepts.
+const MEASURE_FLAGS: [&str; 8] = [
+    "technique",
+    "fwd",
+    "rev",
+    "samples",
+    "gap-us",
+    "personality",
+    "lb",
+    "seed",
+];
+
 /// `reorder measure`.
 pub fn measure(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "technique",
-        "fwd",
-        "rev",
-        "samples",
-        "gap-us",
-        "personality",
-        "lb",
-        "seed",
-    ])?;
+    args.expect_only(&MEASURE_FLAGS)?;
     let kind = measure_technique(args.get("technique").unwrap_or("single"))?;
     let fwd: f64 = args.get_or("fwd", 0.10)?;
     let rev: f64 = args.get_or("rev", 0.05)?;
@@ -131,20 +136,23 @@ fn parse_workers(args: &Args) -> Result<usize, ArgError> {
     }
 }
 
+/// The flags `profile` accepts.
+const PROFILE_FLAGS: [&str; 7] = [
+    "mechanism",
+    "samples",
+    "max-us",
+    "step-us",
+    "seed",
+    "workers",
+    "csv",
+];
+
 /// `reorder profile`. Sweep points are independent path realizations
 /// (each gap seeds its own scenario), so the sweep fans out across
 /// `--workers` threads; results print in gap order regardless of
 /// completion order, making the output identical to a serial sweep.
 pub fn profile(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&[
-        "mechanism",
-        "samples",
-        "max-us",
-        "step-us",
-        "seed",
-        "workers",
-        "csv",
-    ])?;
+    args.expect_only(&PROFILE_FLAGS)?;
     let mechanism = args.get("mechanism").unwrap_or("striping").to_string();
     if !["striping", "multipath", "arq"].contains(&mechanism.as_str()) {
         return Err(ArgError(format!("unknown mechanism `{mechanism}`")));
@@ -165,34 +173,33 @@ pub fn profile(args: &Args) -> Result<(), ArgError> {
     let gaps: Vec<u64> = (0..=max_us / step_us).map(|i| i * step_us).collect();
     let mechanism = &mechanism;
     let mut sweep_err: Option<ArgError> = None;
-    reorder_survey::scheduler::run_sharded(
+    scheduler::run(
         gaps.len(),
         workers,
-        |_| {
-            |i: usize| -> Result<ReorderEstimate, String> {
-                let gap = gaps[i];
-                let mut sc = match mechanism.as_str() {
-                    "striping" => scenario::striped_path(CrossTraffic::backbone(), seed + gap),
-                    "multipath" => scenario::multipath_path(Duration::from_micros(80), seed + gap),
-                    "arq" => scenario::wireless_path(ArqConfig::default(), seed + gap),
-                    _ => unreachable!("mechanism validated above"),
-                };
-                let cfg = TestConfig {
-                    samples,
-                    gap: Duration::from_micros(gap),
-                    pace: Duration::from_millis(2),
-                    reply_timeout: Duration::from_millis(900),
-                    ..TestConfig::default()
-                };
-                let mut session = Session::new(&mut sc.prober, sc.target, 80);
-                Measurer::new(TestKind::DualConnection)
-                    .with_config(cfg)
-                    .run(&mut session)
-                    .map(|m| m.fwd)
-                    .map_err(|e| format!("measurement failed at gap {gap}us: {e}"))
-            }
+        |_| ((), ()),
+        |_, _, i| {
+            let gap = gaps[i];
+            let mut sc = match mechanism.as_str() {
+                "striping" => scenario::striped_path(CrossTraffic::backbone(), seed + gap),
+                "multipath" => scenario::multipath_path(Duration::from_micros(80), seed + gap),
+                "arq" => scenario::wireless_path(ArqConfig::default(), seed + gap),
+                _ => unreachable!("mechanism validated above"),
+            };
+            let cfg = TestConfig {
+                samples,
+                gap: Duration::from_micros(gap),
+                pace: Duration::from_millis(2),
+                reply_timeout: Duration::from_millis(900),
+                ..TestConfig::default()
+            };
+            let mut session = Session::new(&mut sc.prober, sc.target, 80);
+            Measurer::new(TestKind::DualConnection)
+                .with_config(cfg)
+                .run(&mut session)
+                .map(|m| m.fwd)
+                .map_err(|e| format!("measurement failed at gap {gap}us: {e}"))
         },
-        |i, outcome| {
+        Some(|i, outcome: Result<ReorderEstimate, String>| {
             let gap = gaps[i];
             match outcome {
                 Ok(est) => {
@@ -205,14 +212,15 @@ pub fn profile(args: &Args) -> Result<(), ArgError> {
                             "#".repeat((est.rate() * 300.0).round() as usize)
                         );
                     }
-                    std::ops::ControlFlow::Continue(())
+                    ControlFlow::Continue(())
                 }
                 Err(e) => {
                     sweep_err = Some(ArgError(e));
-                    std::ops::ControlFlow::Break(())
+                    ControlFlow::Break(())
                 }
             }
-        },
+        }),
+        &RunProbe::disabled(),
     );
     match sweep_err {
         Some(e) => Err(e),
@@ -345,34 +353,30 @@ fn parse_telemetry(args: &Args) -> Result<(TelemetryMode, Option<&str>), ArgErro
     Ok((mode, metrics))
 }
 
+/// The runtime flags `survey` accepts on top of the plan.
+const SURVEY_RUNTIME: [&str; 8] = [
+    "workers",
+    "jsonl",
+    "per-host",
+    "shard",
+    "shard-state",
+    "telemetry",
+    "metrics",
+    "progress",
+];
+
 /// `reorder survey` — the sharded campaign engine (`reorder-survey`)
 /// run over a generated host population. Output on stdout is
 /// byte-identical across reruns and worker counts for a fixed seed;
 /// timing goes to stderr.
 pub fn survey(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(
-        &[
-            &PLAN_OPTIONS[..],
-            &PLAN_SWITCHES,
-            &[
-                "workers",
-                "jsonl",
-                "per-host",
-                "shard",
-                "shard-state",
-                "telemetry",
-                "metrics",
-                "progress",
-            ],
-        ]
-        .concat(),
-    )?;
+    args.expect_only(&[&PLAN_OPTIONS[..], &PLAN_SWITCHES, &SURVEY_RUNTIME].concat())?;
     let (telemetry, metrics) = parse_telemetry(args)?;
     let mut cfg = parse_plan(args)?.config(parse_workers(args)?, telemetry);
     cfg.shard = args.get("shard").map(parse_shard).transpose()?;
     // Only the `--per-host` table reads `out.reports`; without it (and
-    // without `--jsonl`) the engine takes the funnel-free sharded-fold
-    // path and never materialises per-host reports.
+    // without `--jsonl`) the engine attaches no ordered consumer and
+    // never materialises per-host reports.
     cfg.keep_reports = args.switch("per-host");
     cfg.progress = args.switch("progress");
 
@@ -576,6 +580,24 @@ fn parse_max_host_failures(args: &Args) -> Result<Option<f64>, ArgError> {
     }
 }
 
+/// The runtime flags `campaign` accepts on top of the plan.
+const CAMPAIGN_RUNTIME: [&str; 14] = [
+    "dir",
+    "resume",
+    "shards",
+    "jsonl",
+    "workers",
+    "inflight",
+    "retries",
+    "backoff-ms",
+    "max-host-failures",
+    "in-process",
+    "fail-after-shards",
+    "telemetry",
+    "metrics",
+    "progress",
+];
+
 /// `reorder campaign` — the crash-safe orchestrator
 /// (`reorder-campaign`) around the survey engine: plans `--hosts` as
 /// `--shards` shard tasks, fans them out across worker processes
@@ -585,29 +607,7 @@ fn parse_max_host_failures(args: &Args) -> Result<Option<f64>, ArgError> {
 /// `--resume DIR` continues losslessly — the merged summary and
 /// concatenated JSONL are byte-identical to an uninterrupted run.
 pub fn campaign(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(
-        &[
-            &PLAN_OPTIONS[..],
-            &PLAN_SWITCHES,
-            &[
-                "dir",
-                "resume",
-                "shards",
-                "jsonl",
-                "workers",
-                "inflight",
-                "retries",
-                "backoff-ms",
-                "max-host-failures",
-                "in-process",
-                "fail-after-shards",
-                "telemetry",
-                "metrics",
-                "progress",
-            ],
-        ]
-        .concat(),
-    )?;
+    args.expect_only(&[&PLAN_OPTIONS[..], &PLAN_SWITCHES, &CAMPAIGN_RUNTIME].concat())?;
     let (telemetry, metrics) = parse_telemetry(args)?;
     if args.get("jsonl").is_some() {
         return Err(ArgError(
@@ -786,9 +786,12 @@ pub fn campaign(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
+/// The flags `validate` accepts.
+const VALIDATE_FLAGS: [&str; 4] = ["fwd", "rev", "samples", "seed"];
+
 /// `reorder validate`.
 pub fn validate(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&["fwd", "rev", "samples", "seed"])?;
+    args.expect_only(&VALIDATE_FLAGS)?;
     let fwd: f64 = args.get_or("fwd", 0.10)?;
     let rev: f64 = args.get_or("rev", 0.05)?;
     let samples: usize = args.get_or("samples", 100)?;
@@ -827,9 +830,12 @@ pub fn validate(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
+/// The flags `pcap` accepts.
+const PCAP_FLAGS: [&str; 5] = ["out", "fwd", "rev", "samples", "seed"];
+
 /// `reorder pcap`.
 pub fn pcap(args: &Args) -> Result<(), ArgError> {
-    args.expect_only(&["out", "fwd", "rev", "samples", "seed"])?;
+    args.expect_only(&PCAP_FLAGS)?;
     let out = args
         .get("out")
         .ok_or_else(|| ArgError("--out FILE is required".into()))?
@@ -1303,6 +1309,34 @@ mod tests {
         assert_eq!((state.shard, state.shards), (2, 3));
         assert_eq!(state.agg.summary.hosts, 2, "shard 2/3 of 6 hosts holds 2");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn usage_shows_every_accepted_flag() {
+        // Split on every character a flag name cannot hold, so each
+        // flag must appear as a whole token: `--shards` does not
+        // satisfy `--shard`.
+        let tokens: Vec<&str> = crate::USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        for list in [
+            &MEASURE_FLAGS[..],
+            &PROFILE_FLAGS,
+            &PLAN_OPTIONS,
+            &PLAN_SWITCHES,
+            &SURVEY_RUNTIME,
+            &CAMPAIGN_RUNTIME,
+            &VALIDATE_FLAGS,
+            &PCAP_FLAGS,
+        ] {
+            for flag in list {
+                let token = format!("--{flag}");
+                assert!(
+                    tokens.contains(&token.as_str()),
+                    "`reorder help` never shows {token}"
+                );
+            }
+        }
     }
 
     #[test]

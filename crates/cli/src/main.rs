@@ -39,6 +39,8 @@ COMMANDS:
                --step-us N          sweep step (default 25)
                --workers auto|N     sweep threads (default auto = all cores;
                                     output is byte-identical regardless)
+               --csv                print gap_us,reordered,samples,rate
+                                    rows instead of the bar chart
                --seed S
   survey     sharded measurement campaign over a generated host
              population (§IV-B scaled up; deterministic in --seed,
@@ -63,6 +65,16 @@ COMMANDS:
                --per-host           print the per-host table too
                --no-baseline        skip the data-transfer baseline
                --amenability-only   verdicts only, no measurement
+               --chaos MIX          hostile-host share of the population: a
+                                    fraction (0.2) or a percentage (20%)
+                                    (default 0 = no hostile hosts)
+               --host-deadline-ms N simulated time one host may spend across
+                                    its phases (default 120000; must be
+                                    positive)
+               --host-retries N     transient-failure retries per
+                                    measurement phase (default 0)
+               --host-backoff-ms N  base retry backoff, doubled per retry
+                                    and charged to the deadline (default 250)
                --telemetry MODE     off|summary|full instrumentation
                                     (default off; full adds latency
                                     quantile sketches per span)
@@ -92,8 +104,14 @@ COMMANDS:
                --fail-after-shards N  fault injection: stop (as a crash
                                     would) after N checkpoint writes; also
                                     via REORDER_FAIL_AFTER_SHARDS (flag wins)
+               --max-host-failures FRAC
+                                    exit nonzero when more than FRAC of the
+                                    hosts failed: a fraction (0.05) or a
+                                    percentage (5%); outputs are finalized
+                                    anyway (default: no threshold)
                --workers auto|N     threads per shard run (default auto)
                --hosts/--seed/--samples/--rounds/--technique/--gaps-us/
+               --chaos/--host-deadline-ms/--host-retries/--host-backoff-ms/
                --no-baseline/--amenability-only
                                     as in `survey` (the campaign plan)
                --telemetry MODE, --metrics FILE|-, --progress

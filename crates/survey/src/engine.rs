@@ -1,12 +1,16 @@
 //! The campaign engine: population → sharded scheduler → per-host
-//! pipeline → streaming aggregation and sinks.
+//! pipeline → per-worker streaming aggregation, plus the ordered sinks.
 //!
 //! Determinism invariants (asserted by `tests/determinism.rs`):
 //!
 //! * host `i`'s spec and measurement seed depend only on `(model,
 //!   master seed, i)` — never on the worker that ran it;
-//! * the JSONL sink and summary absorb results in host-id order via
-//!   the scheduler's reorder buffer, pinning float accumulation order;
+//! * each worker absorbs the hosts it ran into its own
+//!   [`ShardAggregator`], and every summary field merges exactly (a
+//!   commutative monoid), so the host→worker assignment cannot move a
+//!   bit of the summary;
+//! * the JSONL sink and the report vector receive reports in host-id
+//!   order via the scheduler's reorder buffer;
 //! * therefore campaign output is byte-identical across reruns *and*
 //!   worker counts.
 
@@ -15,16 +19,14 @@ use crate::metrics::{progress_line, CampaignTelemetry};
 use crate::pipeline::{survey_host_traced, HostJob, HostReport, TechniqueChoice};
 use crate::population::PopulationModel;
 use crate::report::jsonl_line;
-use crate::scheduler::{
-    resolve_workers, run_folded_probed, run_sharded_probed, PoolStats, RunProbe,
-};
+use crate::scheduler::{self, resolve_workers, PoolStats, RunProbe};
 use reorder_core::scenario::ScenarioPool;
 use reorder_core::telemetry::{intern_label, TelemetryMode, WorkerTelemetry};
 use reorder_core::Budget;
 use reorder_netsim::rng as simrng;
 use std::io::{self, Write};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Everything a campaign needs.
@@ -50,11 +52,11 @@ pub struct CampaignConfig {
     pub gaps_us: Vec<u64>,
     /// Retain per-host [`HostReport`]s in [`CampaignOutcome::reports`].
     /// On by default (library callers inspect them); the CLI turns it
-    /// off unless `--per-host` asks for the table. When off **and** no
-    /// JSONL sink is attached, the campaign takes the funnel-free
-    /// path: per-worker [`ShardAggregator`]s fold results locally and
-    /// merge at the end — no reorder buffer, no consuming thread, no
-    /// O(hosts) report vector.
+    /// off unless `--per-host` asks for the table. The vector fills
+    /// through the scheduler's ordered consumer, which also feeds a
+    /// JSONL sink; when it is off **and** no sink is attached, no
+    /// consumer runs — no reorder buffer, no consuming thread, no
+    /// O(hosts) report vector. The summary is the same either way.
     pub keep_reports: bool,
     /// Telemetry mode: `Off` (default) measures nothing; `Summary`
     /// collects counters and phase-span moments; `Full` adds
@@ -146,12 +148,12 @@ pub struct CampaignOutcome {
 /// campaign (remaining hosts are not simulated) and is returned here.
 /// A campaign without a sink cannot fail.
 ///
-/// Summary-only campaigns (no sink, [`CampaignConfig::keep_reports`]
-/// off) never instantiate the id-order reorder buffer: each worker
-/// folds its results into a local [`ShardAggregator`] and the shard
-/// states merge associatively at the end. The summary is bit-identical
-/// between the two paths — aggregation is order-independent by
-/// construction, and the determinism suite asserts it.
+/// Every campaign takes one path: each worker folds its hosts into a
+/// local [`ShardAggregator`] and [`WorkerTelemetry`], and the shard
+/// states merge associatively at the end. The JSONL sink and the
+/// [`CampaignConfig::keep_reports`] vector attach as the scheduler's
+/// ordered consumer, which sees reports in host-id order; with neither
+/// attached there is no reorder buffer and no consuming thread.
 pub fn run_campaign<W: Write>(
     cfg: &CampaignConfig,
     jsonl: Option<&mut W>,
@@ -173,181 +175,122 @@ pub fn run_campaign<W: Write>(
         Some((k, n)) => shard_bounds(cfg.hosts, k, n),
         None => (0, cfg.hosts),
     };
+    let jobs = hi - lo;
+    let mode = cfg.telemetry;
 
-    // The per-host pipeline, shared by both consumption paths: a pure
-    // function of (config, master seed, absolute id) — never of the
-    // worker that runs it. Each worker keeps one simulator pool
-    // (recycled allocations, never shared results; simulations are
-    // !Send anyway). Telemetry observes into `tel` and never feeds
-    // back into the report.
+    // The per-host step: a pure function of (config, master seed,
+    // absolute id) — never of the worker that runs it. Each worker
+    // keeps one simulator pool (recycled allocations, never shared
+    // results; simulations are !Send anyway) and folds the report into
+    // its own aggregator. Telemetry observes into the worker's `tel`
+    // and never feeds back into the report; outcome counters ride it
+    // too, so they merge partition-invariantly and surface in the
+    // `reorder.metrics/1` export.
     let job = &job;
-    let run_host = |pool: &mut ScenarioPool, tel: &mut WorkerTelemetry, i: usize| -> HostReport {
+    let step = |pool: &mut ScenarioPool,
+                (agg, tel): &mut (ShardAggregator, WorkerTelemetry),
+                i: usize|
+     -> HostReport {
         let id = (lo + i) as u64;
         let spec = cfg.model.host(id, cfg.seed);
         let host_seed = simrng::derive_seed(cfg.seed, &format!("survey.run.{id}"));
         let report = survey_host_traced(id, &spec, host_seed, job, pool, tel);
-        // Outcome counters ride the worker's own telemetry, so they
-        // merge partition-invariantly on both consumption paths and
-        // surface in the `reorder.metrics/1` export.
-        if cfg.telemetry.is_enabled() {
+        agg.absorb(&report);
+        if mode.is_enabled() {
             let key = intern_label(&format!("host.outcome.{}", report.outcome.label()));
             tel.count(key, 1);
+            tel.count("agg.absorbs", 1);
         }
         report
     };
 
+    // The ordered consumer, attached only when something reads reports
+    // in host-id order.
+    let mut sink = jsonl;
+    let mut reports: Vec<HostReport> = Vec::with_capacity(if cfg.keep_reports { jobs } else { 0 });
+    let mut sink_err: Option<io::Error> = None;
+    let ordered = (sink.is_some() || cfg.keep_reports).then_some(|_, report: HostReport| {
+        if let Some(w) = sink.as_mut() {
+            let line = jsonl_line(&report);
+            if let Err(e) = w
+                .write_all(line.as_bytes())
+                .and_then(|()| w.write_all(b"\n"))
+            {
+                // A dead sink (full disk, closed pipe) aborts the
+                // campaign instead of burning the remaining hosts'
+                // simulation time on a report that will be Err anyway.
+                sink_err = Some(e);
+                return ControlFlow::Break(());
+            }
+        }
+        if cfg.keep_reports {
+            reports.push(report);
+        }
+        ControlFlow::Continue(())
+    });
+
     // Live observation surface: `done` always counts completed hosts;
     // timing (busy/idle splits, live utilization) turns on when either
-    // telemetry or the progress heartbeat needs it. `workers_used`
-    // mirrors the scheduler's own worker resolution.
-    let mode = cfg.telemetry;
-    let jobs = hi - lo;
-    let workers_used = resolve_workers(cfg.workers).min(jobs.max(1));
-    let timed = mode.is_enabled() || cfg.progress;
-    let probe = RunProbe::new(timed, workers_used);
-    let probe = &probe;
-
-    let mut sink = jsonl;
-    let mut run = move || -> io::Result<CampaignOutcome> {
-        if sink.is_none() && !cfg.keep_reports {
-            // Funnel-free path: fold per worker, merge shard
-            // aggregators in worker order (any order gives the same
-            // bits). Worker telemetry rides the fold state.
-            let (shards, stats) = run_folded_probed(
-                jobs,
-                cfg.workers,
-                |_w| {
-                    (
-                        ScenarioPool::new(),
-                        (ShardAggregator::default(), WorkerTelemetry::new()),
-                    )
-                },
-                |pool, state: &mut (ShardAggregator, WorkerTelemetry), i| {
-                    let (agg, tel) = state;
-                    let report = run_host(pool, tel, i);
-                    agg.absorb(&report);
-                    if mode.is_enabled() {
-                        tel.count("agg.absorbs", 1);
-                    }
-                },
-                probe,
-            );
-            let mut merged = ShardAggregator::default();
-            let mut telemetry = CampaignTelemetry {
-                mode,
-                ..CampaignTelemetry::default()
-            };
-            for (agg, tel) in shards {
-                merged.merge(&agg);
-                if mode.is_enabled() {
-                    telemetry.campaign.count("agg.merges", 1);
-                    telemetry.per_worker.push(tel);
-                }
-            }
-            attach_scheduler_counters(&mut telemetry, &stats);
-            return Ok(CampaignOutcome {
-                reports: Vec::new(),
-                summary: merged.summary,
-                stats,
-                events: merged.events,
-                telemetry,
-            });
-        }
-
-        // Ordered path: a reorder buffer feeds the sink (and the
-        // report vector) in host-id order; the summary shares the same
-        // order-independent aggregation code. Per-worker telemetry
-        // accumulates in a slot per worker (merged per host — the
-        // job closure has no end-of-run hook), absorbs are counted on
-        // the collector where they happen.
-        let mut reports: Vec<HostReport> =
-            Vec::with_capacity(if cfg.keep_reports { jobs } else { 0 });
-        let mut agg = ShardAggregator::default();
-        let mut collector_tel = WorkerTelemetry::new();
-        let tel_slots: Vec<Mutex<WorkerTelemetry>> = (0..workers_used)
-            .map(|_| Mutex::new(WorkerTelemetry::new()))
-            .collect();
-        let mut sink_err: Option<io::Error> = None;
-        let stats = run_sharded_probed(
+    // telemetry or the progress heartbeat needs it. One slot per worker
+    // the scheduler will start.
+    let probe = RunProbe::new(
+        mode.is_enabled() || cfg.progress,
+        resolve_workers(cfg.workers).min(jobs.max(1)),
+    );
+    let (shards, stats) = with_heartbeat(cfg.progress, &probe, jobs, || {
+        scheduler::run(
             jobs,
             cfg.workers,
-            |w| {
-                let mut pool = ScenarioPool::new();
-                let slot = &tel_slots[w];
-                move |i| {
-                    let mut tel = WorkerTelemetry::new();
-                    let report = run_host(&mut pool, &mut tel, i);
-                    if mode.is_enabled() {
-                        // A slot is only poisoned by a worker panic,
-                        // which the thread scope re-raises anyway.
-                        slot.lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .merge(&tel);
-                    }
-                    report
-                }
+            |_| {
+                (
+                    ScenarioPool::new(),
+                    (ShardAggregator::default(), WorkerTelemetry::new()),
+                )
             },
-            |_, report| {
-                if let Some(w) = sink.as_mut() {
-                    let line = jsonl_line(&report);
-                    if let Err(e) = w
-                        .write_all(line.as_bytes())
-                        .and_then(|()| w.write_all(b"\n"))
-                    {
-                        // A dead sink (full disk, closed pipe) aborts the
-                        // campaign instead of burning the remaining hosts'
-                        // simulation time on a report that will be Err anyway.
-                        sink_err = Some(e);
-                        return std::ops::ControlFlow::Break(());
-                    }
-                }
-                agg.absorb(&report);
-                if mode.is_enabled() {
-                    collector_tel.count("agg.absorbs", 1);
-                }
-                if cfg.keep_reports {
-                    reports.push(report);
-                }
-                std::ops::ControlFlow::Continue(())
-            },
-            probe,
-        );
+            step,
+            ordered,
+            &probe,
+        )
+    });
 
-        let mut telemetry = CampaignTelemetry {
-            mode,
-            campaign: collector_tel,
-            ..CampaignTelemetry::default()
-        };
-        if mode.is_enabled() {
-            telemetry.per_worker = tel_slots
-                .into_iter()
-                .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-                .collect();
-        }
-        attach_scheduler_counters(&mut telemetry, &stats);
-        match sink_err {
-            Some(e) => Err(e),
-            None => Ok(CampaignOutcome {
-                reports,
-                summary: agg.summary,
-                stats,
-                events: agg.events,
-                telemetry,
-            }),
-        }
+    // Merge the shard aggregators in worker order (any order gives the
+    // same bits).
+    let mut merged = ShardAggregator::default();
+    let mut telemetry = CampaignTelemetry {
+        mode,
+        ..CampaignTelemetry::default()
     };
-
-    if !cfg.progress {
-        return run();
+    for (agg, tel) in shards {
+        merged.merge(&agg);
+        if mode.is_enabled() {
+            telemetry.campaign.count("agg.merges", 1);
+            telemetry.per_worker.push(tel);
+        }
     }
+    attach_scheduler_counters(&mut telemetry, &stats);
+    match sink_err {
+        Some(e) => Err(e),
+        None => Ok(CampaignOutcome {
+            reports,
+            summary: merged.summary,
+            stats,
+            events: merged.events,
+            telemetry,
+        }),
+    }
+}
 
-    // Heartbeat: a watcher thread reads the probe and prints a
-    // throttled progress line to stderr. stderr only — stdout belongs
-    // to pinned report bytes — and nothing here feeds back into the
-    // campaign, so output stays byte-identical with the flag on.
+/// Run `f`, with a watcher thread printing a throttled `--progress`
+/// heartbeat from `probe` to stderr while it runs when `on`. stderr
+/// only — stdout belongs to pinned report bytes — and nothing here
+/// feeds back into the campaign, so output stays byte-identical with
+/// the flag on.
+fn with_heartbeat<T>(on: bool, probe: &RunProbe, total: usize, f: impl FnOnce() -> T) -> T {
+    if !on {
+        return f();
+    }
     // reorder-lint: allow(wall-clock, progress heartbeat timing; stderr-only and never feeds report bytes)
     let started = Instant::now();
-    let total = jobs as u64;
     let stop = AtomicBool::new(false);
     let stop = &stop;
     std::thread::scope(|s| {
@@ -360,11 +303,11 @@ pub fn run_campaign<W: Write>(
                     last = elapsed;
                     let busy: Vec<u64> = (0..probe.slots()).map(|w| probe.busy_ns(w)).collect();
                     let done = probe.done.load(Ordering::Relaxed);
-                    eprintln!("{}", progress_line(done, total, elapsed, &busy));
+                    eprintln!("{}", progress_line(done, total as u64, elapsed, &busy));
                 }
             }
         });
-        let result = run();
+        let result = f();
         stop.store(true, Ordering::Relaxed);
         result
     })
@@ -546,8 +489,8 @@ mod tests {
     #[test]
     fn telemetry_counters_are_worker_count_invariant() {
         // The mergeable-monoid contract end to end: however hosts are
-        // partitioned across workers (and whichever consumption path
-        // runs), the merged counters are identical.
+        // partitioned across workers (and whether or not reports are
+        // kept), the merged counters are identical.
         let run = |workers: usize, keep_reports: bool| {
             let cfg = CampaignConfig {
                 hosts: 12,
@@ -600,6 +543,17 @@ mod tests {
                 );
                 let span = m.span_stats("host").expect("host span recorded");
                 assert_eq!(span.count(), 12, "one host span per host");
+                // Absorbs are counted on the workers that ran the hosts
+                // and one merge per worker, with or without kept reports.
+                let absorbs: Vec<u64> = out
+                    .telemetry
+                    .per_worker
+                    .iter()
+                    .map(|t| t.counter("agg.absorbs"))
+                    .collect();
+                assert_eq!(absorbs.len(), out.stats.workers);
+                assert_eq!(absorbs.iter().sum::<u64>(), 12);
+                assert_eq!(m.counter("agg.merges"), out.stats.workers as u64);
             }
         }
     }

@@ -27,9 +27,9 @@ pub struct CampaignTelemetry {
     pub mode: TelemetryMode,
     /// Per-worker telemetry, in worker-index order.
     pub per_worker: Vec<WorkerTelemetry>,
-    /// Engine/collector-side telemetry that belongs to no single
-    /// worker (e.g. the ordered path's `agg.absorbs`, the final
-    /// shard-merge's `agg.merges`). Folded into
+    /// Engine-side telemetry that belongs to no single worker (e.g.
+    /// the final shard merge's `agg.merges`, or a finished campaign's
+    /// checkpointed merged telemetry). Folded into
     /// [`CampaignTelemetry::merged`].
     pub campaign: WorkerTelemetry,
 }

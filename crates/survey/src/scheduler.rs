@@ -6,35 +6,31 @@
 //! several slow scenarios (wide load balancers, long transfers) is
 //! relieved by idle workers instead of straggling the campaign.
 //!
-//! Simulations are single-threaded and `!Send`, so the job closure
-//! receives only the host *index* and builds everything it needs
-//! locally — the same discipline as `reorder_bench::parallel_map`, plus
-//! stealing and streaming consumption.
+//! Simulations are single-threaded and `!Send`, so a job receives only
+//! its *index* and builds everything it needs on its worker.
 //!
-//! Two consumption modes:
+//! One entry point, [`run`]. Every worker folds each job into a
+//! worker-local state, and the states come back in worker-index order
+//! once the run ends — correct only when the fold is order-independent
+//! (the aggregation layer's commutative-monoid contract), because work
+//! stealing makes the job→worker assignment nondeterministic. An
+//! optional ordered consumer also receives every job's result **in
+//! job-index order**, regardless of completion order, via a reorder
+//! buffer on the calling thread — required when an ordered sink (JSONL,
+//! per-host tables, a gap sweep's rows) is attached. Without one there
+//! is no channel, no reorder buffer and no consuming thread.
 //!
-//! * [`run_sharded`] feeds results to a single consumer **in job-index
-//!   order** regardless of completion order, via a reorder buffer on
-//!   the collecting thread — required when an ordered sink (JSONL,
-//!   per-host tables) is attached.
-//! * [`run_folded`] keeps results on the worker that produced them:
-//!   each worker folds its results into a local state and the states
-//!   come back in worker-index order, with no channel, no reorder
-//!   buffer, and no single consuming thread. This is the funnel-free
-//!   path for summary-only campaigns — correct only when the fold is
-//!   order-independent (the aggregation layer's commutative-monoid
-//!   contract).
-//!
-//! Both modes report per-worker counters ([`WorkerStats`]: tasks,
-//! steal attempts/successes, busy vs idle nanoseconds) and accept a
+//! Every run reports per-worker counters ([`WorkerStats`]: tasks,
+//! steal attempts/successes, busy vs idle nanoseconds) and accepts a
 //! [`RunProbe`] — the live observation surface a progress heartbeat
 //! reads while the run is in flight. Timing is opt-in via the probe:
 //! an untimed run never reads a clock in the worker loop.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
+use std::panic;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -69,8 +65,8 @@ pub struct PoolStats {
     /// Jobs executed after being stolen from another worker's shard
     /// (the sum of [`WorkerStats::steals`]).
     pub steals: u64,
-    /// True when `consume` broke the run off early; trailing jobs were
-    /// skipped or discarded.
+    /// True when the ordered consumer broke the run off early; trailing
+    /// jobs were skipped or discarded.
     pub aborted: bool,
     /// Per-worker counters, in worker-index order.
     pub per_worker: Vec<WorkerStats>,
@@ -144,22 +140,23 @@ pub fn resolve_workers(requested: usize) -> usize {
     }
 }
 
+/// Lock a shard. No job runs under a shard lock, so a poisoned lock
+/// still guards a consistent deque; recover it rather than panic.
+fn lock(shard: &Mutex<VecDeque<usize>>) -> MutexGuard<'_, VecDeque<usize>> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Pop the next job index for worker `w`: own shard first (front),
 /// then steal from the other shards (back), counting probes and
 /// successes into `st`.
-fn next_job(
-    w: usize,
-    workers: usize,
-    shards: &[Mutex<VecDeque<usize>>],
-    st: &mut WorkerStats,
-) -> Option<usize> {
-    if let Some(i) = shards[w].lock().expect("shard poisoned").pop_front() {
+fn next_job(w: usize, shards: &[Mutex<VecDeque<usize>>], st: &mut WorkerStats) -> Option<usize> {
+    if let Some(i) = lock(&shards[w]).pop_front() {
         return Some(i);
     }
+    let workers = shards.len();
     for v in 1..workers {
-        let victim = (w + v) % workers;
         st.steal_attempts += 1;
-        let got = shards[victim].lock().expect("shard poisoned").pop_back();
+        let got = lock(&shards[(w + v) % workers]).pop_back();
         if got.is_some() {
             st.steals += 1;
             return got;
@@ -177,244 +174,140 @@ fn deal_shards(jobs: usize, workers: usize) -> Vec<Mutex<VecDeque<usize>>> {
     deques.into_iter().map(Mutex::new).collect()
 }
 
-fn collect_stats(workers: usize, aborted: bool, wstats: Vec<Mutex<WorkerStats>>) -> PoolStats {
-    let per_worker: Vec<WorkerStats> = wstats
-        .into_iter()
-        .map(|m| m.into_inner().expect("stats poisoned"))
-        .collect();
-    PoolStats {
-        workers,
-        steals: per_worker.iter().map(|s| s.steals).sum(),
-        aborted,
-        per_worker,
-    }
-}
-
-/// Run `jobs` indices through per-worker job closures on `workers`
-/// threads and feed every result to `consume` **in index order** —
-/// see [`run_sharded_probed`] for the full contract. This convenience
-/// form attaches a [`RunProbe::disabled`].
-pub fn run_sharded<R, F, J, C>(jobs: usize, workers: usize, mk_worker: F, consume: C) -> PoolStats
-where
-    R: Send,
-    F: Fn(usize) -> J + Sync,
-    J: FnMut(usize) -> R,
-    C: FnMut(usize, R) -> ControlFlow<()>,
-{
-    run_sharded_probed(jobs, workers, mk_worker, consume, &RunProbe::disabled())
-}
-
-/// Run `jobs` indices through per-worker job closures on `workers`
-/// threads and feed every result to `consume` **in index order**.
-///
-/// `mk_worker` runs once on each worker thread — receiving the worker
-/// index — and returns that worker's job closure — the hook for
-/// per-worker mutable state such as a recycled
-/// [`reorder_core::scenario::ScenarioPool`] (simulations are `!Send`,
-/// so worker-local state must be born on the worker). The closure must
-/// stay a pure function of the index — state may only affect *how
-/// fast* a result is produced, never *what* it is — or the
-/// order-independence guarantee means nothing; the campaign
-/// determinism suite asserts this by comparing pooled, fresh, sharded
-/// and differently-parallel runs byte for byte.
-///
-/// `consume` may return [`ControlFlow::Break`] to abort the campaign
-/// early (e.g. a failed sink): queued shards are drained, the workers
-/// stop, and remaining results are discarded. `probe` is the live
-/// observation surface (see [`RunProbe`]). Returns pool counters,
-/// including per-worker [`WorkerStats`].
-pub fn run_sharded_probed<R, F, J, C>(
-    jobs: usize,
-    workers: usize,
-    mk_worker: F,
-    mut consume: C,
-    probe: &RunProbe,
-) -> PoolStats
-where
-    R: Send,
-    F: Fn(usize) -> J + Sync,
-    J: FnMut(usize) -> R,
-    C: FnMut(usize, R) -> ControlFlow<()>,
-{
-    let workers = resolve_workers(workers).min(jobs.max(1));
-    let shards = deal_shards(jobs, workers);
-    let wstats: Vec<Mutex<WorkerStats>> = (0..workers)
-        .map(|_| Mutex::new(WorkerStats::default()))
-        .collect();
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-
-    let aborted = thread::scope(|s| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let shards = &shards;
-            let wstats = &wstats;
-            let mk_worker = &mk_worker;
-            s.spawn(move || {
-                let mut job = mk_worker(w);
-                let mut st = WorkerStats::default();
-                // reorder-lint: allow(wall-clock, worker busy/idle accounting; scheduler telemetry never feeds report bytes)
-                let born = probe.timed().then(Instant::now);
-                while let Some(i) = next_job(w, workers, shards, &mut st) {
-                    let r = if born.is_some() {
-                        // reorder-lint: allow(wall-clock, per-task busy-time sample; telemetry-only)
-                        let t = Instant::now();
-                        let r = job(i);
-                        st.busy_ns += t.elapsed().as_nanos() as u64;
-                        probe.publish_busy(w, st.busy_ns);
-                        r
-                    } else {
-                        job(i)
-                    };
-                    st.tasks += 1;
-                    probe.done.fetch_add(1, Ordering::Relaxed);
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
-                }
-                if let Some(t0) = born {
-                    st.wall_ns = t0.elapsed().as_nanos() as u64;
-                    st.idle_ns = st.wall_ns.saturating_sub(st.busy_ns);
-                }
-                *wstats[w].lock().expect("stats poisoned") = st;
-            });
-        }
-        drop(tx);
-
-        // Streaming, order-restoring consumption: results arrive in
-        // completion order; release them to `consume` in index order.
-        // The pending buffer is bounded by the in-flight disorder
-        // window — O(jobs) worst case, O(workers) typical.
-        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-        let mut next = 0usize;
-        let mut aborted = false;
-        'recv: for (i, r) in &rx {
-            pending.insert(i, r);
-            while let Some(r) = pending.remove(&next) {
-                let flow = consume(next, r);
-                next += 1;
-                if flow.is_break() {
-                    aborted = true;
-                    break 'recv;
-                }
-            }
-        }
-        if aborted {
-            // Stop the workers promptly: drain the queued shards (so
-            // nothing further is popped) and close the channel (so
-            // in-flight sends fail and the workers exit).
-            for shard in &shards {
-                shard.lock().expect("shard poisoned").clear();
-            }
-            drop(rx);
-        } else {
-            assert!(pending.is_empty(), "worker died mid-campaign");
-            assert_eq!(next, jobs, "missing results");
-        }
-        aborted
-    });
-
-    collect_stats(workers, aborted, wstats)
-}
-
-/// Run `jobs` indices on `workers` threads, folding each result into a
-/// **worker-local** state — see [`run_folded_probed`] for the full
-/// contract. This convenience form attaches a [`RunProbe::disabled`].
-pub fn run_folded<L, S, F, G>(
-    jobs: usize,
-    workers: usize,
-    mk_worker: F,
-    step: G,
-) -> (Vec<S>, PoolStats)
-where
-    S: Send,
-    F: Fn(usize) -> (L, S) + Sync,
-    G: Fn(&mut L, &mut S, usize) + Sync,
-{
-    run_folded_probed(jobs, workers, mk_worker, step, &RunProbe::disabled())
-}
-
-/// Run `jobs` indices on `workers` threads, folding each result into a
-/// **worker-local** state — the funnel-free alternative to
-/// [`run_sharded_probed`] for consumers that don't need ordered
-/// results.
+/// Run `jobs` indices on `workers` threads (0 = all cores; never more
+/// threads than jobs), folding every job into a **worker-local** state.
 ///
 /// `mk_worker` runs once on each worker thread — receiving the worker
 /// index — and returns `(local, state)`: `local` is worker-local
-/// scratch that never leaves the thread (e.g. a `!Send` simulator
-/// pool), `state` is the fold accumulator handed back at the end.
-/// `step` executes job `i`, folding its result into `state`. States
-/// are returned in worker-index order, and `probe` is the live
-/// observation surface (see [`RunProbe`]).
+/// scratch that never leaves the thread (e.g. a `!Send`
+/// [`reorder_core::scenario::ScenarioPool`]), `state` is the fold
+/// accumulator handed back at the end. `step` executes job `i`, folds
+/// it into `state` and returns its result. The result must stay a pure
+/// function of the index — worker state may only affect *how fast* it
+/// is produced, never *what* it is — or the order-independence
+/// guarantee means nothing; the campaign determinism suite asserts this
+/// by comparing pooled, fresh, sharded and differently-parallel runs
+/// byte for byte.
 ///
-/// Work stealing makes the job→worker assignment nondeterministic, so
-/// a caller needing deterministic totals must fold with an
-/// order-independent (commutative, associative) operation —
-/// `reorder-survey`'s aggregation layer is built on exactly that
-/// contract, and the campaign determinism suite asserts it against
-/// the ordered path byte for byte.
-pub fn run_folded_probed<L, S, F, G>(
+/// With `ordered` attached, every result is also fed to it **in index
+/// order**; it may return [`ControlFlow::Break`] to abort the run early
+/// (e.g. a failed sink): queued shards are drained, the workers stop,
+/// and remaining results are discarded. Without it each result is
+/// dropped on its worker. `probe` is the live observation surface (see
+/// [`RunProbe`]).
+///
+/// Returns the states in worker-index order plus the pool counters,
+/// including per-worker [`WorkerStats`]. A panicking job panics here
+/// with its own payload once the other workers have stopped.
+pub fn run<L, S, R, F, G, C>(
     jobs: usize,
     workers: usize,
     mk_worker: F,
     step: G,
+    ordered: Option<C>,
     probe: &RunProbe,
 ) -> (Vec<S>, PoolStats)
 where
     S: Send,
+    R: Send,
     F: Fn(usize) -> (L, S) + Sync,
-    G: Fn(&mut L, &mut S, usize) + Sync,
+    G: Fn(&mut L, &mut S, usize) -> R + Sync,
+    C: FnMut(usize, R) -> ControlFlow<()>,
 {
     let workers = resolve_workers(workers).min(jobs.max(1));
     let shards = deal_shards(jobs, workers);
-    let wstats: Vec<Mutex<WorkerStats>> = (0..workers)
-        .map(|_| Mutex::new(WorkerStats::default()))
-        .collect();
-    let states: Vec<Mutex<Option<S>>> = (0..workers).map(|_| Mutex::new(None)).collect();
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let tx = ordered.is_some().then_some(tx);
 
     thread::scope(|s| {
-        for w in 0..workers {
-            let shards = &shards;
-            let wstats = &wstats;
-            let states = &states;
-            let mk_worker = &mk_worker;
-            let step = &step;
-            s.spawn(move || {
-                let (mut local, mut state) = mk_worker(w);
-                let mut st = WorkerStats::default();
-                // reorder-lint: allow(wall-clock, worker busy/idle accounting; scheduler telemetry never feeds report bytes)
-                let born = probe.timed().then(Instant::now);
-                while let Some(i) = next_job(w, workers, shards, &mut st) {
-                    if born.is_some() {
-                        // reorder-lint: allow(wall-clock, per-task busy-time sample; telemetry-only)
-                        let t = Instant::now();
-                        step(&mut local, &mut state, i);
-                        st.busy_ns += t.elapsed().as_nanos() as u64;
-                        probe.publish_busy(w, st.busy_ns);
-                    } else {
-                        step(&mut local, &mut state, i);
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let tx = tx.clone();
+                let (shards, mk_worker, step) = (&shards, &mk_worker, &step);
+                s.spawn(move || {
+                    let (mut local, mut state) = mk_worker(w);
+                    let mut st = WorkerStats::default();
+                    // reorder-lint: allow(wall-clock, worker busy/idle accounting; scheduler telemetry never feeds report bytes)
+                    let born = probe.timed().then(Instant::now);
+                    while let Some(i) = next_job(w, shards, &mut st) {
+                        let r = if born.is_some() {
+                            // reorder-lint: allow(wall-clock, per-task busy-time sample; telemetry-only)
+                            let t = Instant::now();
+                            let r = step(&mut local, &mut state, i);
+                            st.busy_ns += t.elapsed().as_nanos() as u64;
+                            probe.publish_busy(w, st.busy_ns);
+                            r
+                        } else {
+                            step(&mut local, &mut state, i)
+                        };
+                        st.tasks += 1;
+                        probe.done.fetch_add(1, Ordering::Relaxed);
+                        if let Some(tx) = &tx {
+                            if tx.send((i, r)).is_err() {
+                                break;
+                            }
+                        }
                     }
-                    st.tasks += 1;
-                    probe.done.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(t0) = born {
-                    st.wall_ns = t0.elapsed().as_nanos() as u64;
-                    st.idle_ns = st.wall_ns.saturating_sub(st.busy_ns);
-                }
-                *wstats[w].lock().expect("stats poisoned") = st;
-                *states[w].lock().expect("state poisoned") = Some(state);
-            });
-        }
-    });
+                    if let Some(t0) = born {
+                        st.wall_ns = t0.elapsed().as_nanos() as u64;
+                        st.idle_ns = st.wall_ns.saturating_sub(st.busy_ns);
+                    }
+                    (state, st)
+                })
+            })
+            .collect();
+        drop(tx);
 
-    let states = states
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("state poisoned")
-                .expect("worker died before folding its state")
-        })
-        .collect();
-    (states, collect_stats(workers, false, wstats))
+        let aborted = ordered.is_some_and(|consume| consume_in_order(rx, consume, &shards));
+
+        let mut states = Vec::with_capacity(workers);
+        let mut per_worker = Vec::with_capacity(workers);
+        for handle in handles {
+            match handle.join() {
+                Ok((state, st)) => {
+                    states.push(state);
+                    per_worker.push(st);
+                }
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+        let stats = PoolStats {
+            workers,
+            steals: per_worker.iter().map(|s| s.steals).sum(),
+            aborted,
+            per_worker,
+        };
+        (states, stats)
+    })
+}
+
+/// Release results, which arrive in completion order, to `consume` in
+/// index order. The pending buffer is bounded by the in-flight
+/// disorder window — O(jobs) worst case, O(workers) typical. Returns
+/// whether `consume` broke the run off.
+fn consume_in_order<R>(
+    rx: mpsc::Receiver<(usize, R)>,
+    mut consume: impl FnMut(usize, R) -> ControlFlow<()>,
+    shards: &[Mutex<VecDeque<usize>>],
+) -> bool {
+    let mut pending: BTreeMap<usize, R> = BTreeMap::new();
+    let mut next = 0usize;
+    for (i, r) in &rx {
+        pending.insert(i, r);
+        while let Some(r) = pending.remove(&next) {
+            next += 1;
+            if consume(next - 1, r).is_break() {
+                // Stop the workers promptly: drain the queued shards
+                // (so nothing further is popped); dropping `rx` on
+                // return makes in-flight sends fail.
+                for shard in shards {
+                    lock(shard).clear();
+                }
+                return true;
+            }
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -422,19 +315,33 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// No ordered consumer (`None` still needs a concrete closure type).
+    fn unordered<R>() -> Option<fn(usize, R) -> ControlFlow<()>> {
+        None
+    }
+
+    /// Run `jobs` jobs returning their index through an ordered
+    /// consumer that records what it saw.
+    fn ordered_indices(jobs: usize, workers: usize) -> (Vec<(usize, usize)>, PoolStats) {
+        let mut seen = Vec::new();
+        let (_, stats) = run(
+            jobs,
+            workers,
+            |_| ((), ()),
+            |_, _, i| i * 3,
+            Some(|i, r| {
+                seen.push((i, r));
+                ControlFlow::Continue(())
+            }),
+            &RunProbe::disabled(),
+        );
+        (seen, stats)
+    }
+
     #[test]
     fn consumes_every_job_in_order() {
         for workers in [1, 2, 4, 7] {
-            let mut seen = Vec::new();
-            let stats = run_sharded(
-                100,
-                workers,
-                |_| |i| i * 3,
-                |i, r| {
-                    seen.push((i, r));
-                    ControlFlow::Continue(())
-                },
-            );
+            let (seen, stats) = ordered_indices(100, workers);
             assert_eq!(seen.len(), 100);
             assert!(seen
                 .iter()
@@ -447,63 +354,98 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_fine() {
-        let stats = run_sharded(0, 4, |_| |i| i, |_, _: usize| panic!("no jobs to consume"));
-        assert_eq!(stats.steals, 0);
+        for ordered in [false, true] {
+            let consume = |_, _: ()| -> ControlFlow<()> { panic!("no jobs to consume") };
+            let (states, stats) = run(
+                0,
+                4,
+                |_| ((), 7u64),
+                |_, _, _| panic!("no jobs"),
+                ordered.then_some(consume),
+                &RunProbe::disabled(),
+            );
+            assert_eq!(states, vec![7]);
+            assert_eq!(stats.steals, 0);
+        }
     }
 
     #[test]
     fn workers_cap_at_job_count() {
-        let stats = run_sharded(2, 16, |_| |i| i, |_, _| ControlFlow::Continue(()));
+        let (_, stats) = ordered_indices(2, 16);
         assert_eq!(stats.workers, 2);
     }
 
     #[test]
     fn stealing_relieves_a_straggling_shard() {
         // With round-robin dealing over 2 workers, shard 0 gets all the
-        // slow jobs (even indices). Worker 1 must steal some of them.
-        let stats = run_sharded(
-            40,
-            2,
-            |_| {
-                |i| {
+        // slow jobs (even indices). Worker 1 must steal some of them,
+        // whether or not an ordered consumer is attached.
+        for ordered in [false, true] {
+            let (_, stats) = run(
+                40,
+                2,
+                |_| ((), ()),
+                |_, _, i| {
                     if i % 2 == 0 {
                         std::thread::sleep(Duration::from_millis(2));
                     }
-                    i
-                }
-            },
-            |_, _| ControlFlow::Continue(()),
-        );
-        if stats.workers == 2 {
-            assert!(stats.steals > 0, "expected steals, got {stats:?}");
+                },
+                ordered.then_some(|_, ()| ControlFlow::Continue(())),
+                &RunProbe::disabled(),
+            );
+            if stats.workers == 2 {
+                assert!(stats.steals > 0, "expected steals, got {stats:?}");
+            }
         }
     }
 
     #[test]
     fn break_aborts_promptly() {
         // Break on the third result: the pool must stop without
-        // consuming the rest, and report the abort.
+        // consuming or running the rest, and report the abort. Running
+        // all 500 one-millisecond jobs would take 4 workers ~125 ms,
+        // far longer than the break needs to reach them.
         let mut consumed = 0usize;
-        let stats = run_sharded(
+        let (_, stats) = run(
             500,
             4,
-            |_| {
-                |i| {
-                    std::thread::sleep(Duration::from_micros(200));
-                    i
-                }
+            |_| ((), ()),
+            |_, _, i| {
+                std::thread::sleep(Duration::from_millis(1));
+                i
             },
-            |_, _| {
+            Some(|_, _| {
                 consumed += 1;
                 if consumed == 3 {
                     ControlFlow::Break(())
                 } else {
                     ControlFlow::Continue(())
                 }
-            },
+            }),
+            &RunProbe::disabled(),
         );
         assert!(stats.aborted);
         assert_eq!(consumed, 3);
+        let tasks: u64 = stats.per_worker.iter().map(|s| s.tasks).sum();
+        assert!(tasks < 500, "workers ran all {tasks} jobs after the break");
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 exploded")]
+    fn panicking_job_reraises_its_own_payload() {
+        run(
+            20,
+            2,
+            |_| ((), ()),
+            |_, _, i| {
+                if i == 5 {
+                    panic!("job {i} exploded");
+                }
+                i
+            },
+            Some(|_, _| ControlFlow::Continue(())),
+            &RunProbe::disabled(),
+        );
     }
 
     #[test]
@@ -515,7 +457,14 @@ mod tests {
     #[test]
     fn per_worker_stats_account_for_every_job() {
         let probe = RunProbe::new(true, 3);
-        let stats = run_sharded_probed(60, 3, |_| |i| i, |_, _| ControlFlow::Continue(()), &probe);
+        let (_, stats) = run(
+            60,
+            3,
+            |_| ((), ()),
+            |_, _, i| i,
+            Some(|_, _| ControlFlow::Continue(())),
+            &probe,
+        );
         assert_eq!(stats.per_worker.len(), stats.workers);
         let tasks: u64 = stats.per_worker.iter().map(|s| s.tasks).sum();
         assert_eq!(tasks, 60, "every job attributed to exactly one worker");
@@ -530,7 +479,7 @@ mod tests {
 
     #[test]
     fn untimed_probe_reports_zero_ns() {
-        let stats = run_sharded(20, 2, |_| |i| i, |_, _| ControlFlow::Continue(()));
+        let (_, stats) = ordered_indices(20, 2);
         for st in &stats.per_worker {
             assert_eq!(st.busy_ns, 0);
             assert_eq!(st.wall_ns, 0);
@@ -543,14 +492,16 @@ mod tests {
     fn mk_worker_receives_distinct_indices() {
         let seen: Vec<Mutex<u64>> = (0..4).map(|_| Mutex::new(0)).collect();
         let seen_ref = &seen;
-        run_sharded(
+        run(
             40,
             4,
             move |w| {
                 *seen_ref[w].lock().unwrap() += 1;
-                |i| i
+                ((), ())
             },
-            |_, _| ControlFlow::Continue(()),
+            |_, _, i| i,
+            unordered(),
+            &RunProbe::disabled(),
         );
         let counts: Vec<u64> = seen.iter().map(|m| *m.lock().unwrap()).collect();
         assert!(counts.iter().all(|&c| c <= 1), "index reuse: {counts:?}");
@@ -559,11 +510,13 @@ mod tests {
     #[test]
     fn folded_covers_every_job_exactly_once() {
         for workers in [1, 2, 4, 7] {
-            let (states, stats) = run_folded(
+            let (states, stats) = run(
                 100,
                 workers,
                 |_| ((), Vec::new()),
                 |_, seen: &mut Vec<usize>, i| seen.push(i),
+                unordered(),
+                &RunProbe::disabled(),
             );
             assert_eq!(states.len(), stats.workers);
             let mut all: Vec<usize> = states.into_iter().flatten().collect();
@@ -574,10 +527,29 @@ mod tests {
     }
 
     #[test]
-    fn folded_zero_jobs_returns_initial_states() {
-        let (states, stats) = run_folded(0, 4, |_| ((), 7u64), |_, _, _| panic!("no jobs"));
-        assert_eq!(states, vec![7]);
-        assert_eq!(stats.steals, 0);
+    fn ordered_run_still_folds_every_job_once() {
+        for workers in [1, 2, 4, 7] {
+            let mut consumed = Vec::new();
+            let (states, stats) = run(
+                100,
+                workers,
+                |_| ((), Vec::new()),
+                |_, seen: &mut Vec<usize>, i| {
+                    seen.push(i);
+                    i
+                },
+                Some(|i, r| {
+                    consumed.push((i, r));
+                    ControlFlow::Continue(())
+                }),
+                &RunProbe::disabled(),
+            );
+            assert_eq!(states.len(), stats.workers);
+            let mut all: Vec<usize> = states.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..100).collect::<Vec<_>>());
+            assert_eq!(consumed, (0..100).map(|i| (i, i)).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -586,41 +558,27 @@ mod tests {
         // across worker counts — the aggregation contract in miniature.
         let serial: u64 = (0..500u64).map(|i| i * i).sum();
         for workers in [1, 3, 8] {
-            let (states, _) = run_folded(
+            let (states, _) = run(
                 500,
                 workers,
                 |_| ((), 0u64),
                 |_, acc, i| *acc += (i as u64) * (i as u64),
+                unordered(),
+                &RunProbe::disabled(),
             );
             assert_eq!(states.into_iter().sum::<u64>(), serial);
         }
     }
 
     #[test]
-    fn folded_steals_relieve_stragglers() {
-        let (_, stats) = run_folded(
-            40,
-            2,
-            |_| ((), ()),
-            |_, _, i| {
-                if i % 2 == 0 {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            },
-        );
-        if stats.workers == 2 {
-            assert!(stats.steals > 0, "expected steals, got {stats:?}");
-        }
-    }
-
-    #[test]
     fn folded_timed_probe_publishes_busy_ns() {
         let probe = RunProbe::new(true, 2);
-        let (_, stats) = run_folded_probed(
+        let (_, stats) = run(
             10,
             2,
             |_| ((), ()),
             |_, _, _| std::thread::sleep(Duration::from_micros(500)),
+            unordered(),
             &probe,
         );
         let busy: u64 = stats.per_worker.iter().map(|s| s.busy_ns).sum();

@@ -177,12 +177,12 @@ fn pinned_smoke_reproduces_historical_bytes() {
     );
 }
 
-/// The funnel-free path (no sink, `keep_reports: false` — per-worker
-/// `ShardAggregator`s merged at the end, no id-order reorder buffer)
-/// must render the same summary as the ordered path, for every worker
-/// count. This is the tentpole guarantee:
-/// summary state is a commutative monoid, so the nondeterministic
-/// work-stealing partition cannot leak into the output.
+/// A sink-free run (no JSONL, `keep_reports: false` — no ordered
+/// consumer, no id-order reorder buffer) must render the same summary
+/// as a sink-attached run, for every worker count. Both fold per-worker
+/// `ShardAggregator`s and merge them at the end; summary state is a
+/// commutative monoid, so neither the consumer nor the nondeterministic
+/// work-stealing partition can leak into the output.
 #[test]
 fn funnel_free_summary_matches_ordered_path_across_workers() {
     let run = |workers: usize, keep_reports: bool| -> String {
@@ -205,11 +205,13 @@ fn funnel_free_summary_matches_ordered_path_across_workers() {
     };
     let ordered = run(1, true);
     for workers in [1, 2, 8] {
-        assert_eq!(
-            run(workers, false),
-            ordered,
-            "funnel-free summary diverged (workers {workers})"
-        );
+        for keep_reports in [false, true] {
+            assert_eq!(
+                run(workers, keep_reports),
+                ordered,
+                "summary diverged (workers {workers}, sink attached: {keep_reports})"
+            );
+        }
     }
 }
 
