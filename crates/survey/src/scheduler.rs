@@ -354,19 +354,16 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_fine() {
-        for ordered in [false, true] {
-            let consume = |_, _: ()| -> ControlFlow<()> { panic!("no jobs to consume") };
-            let (states, stats) = run(
-                0,
-                4,
-                |_| ((), 7u64),
-                |_, _, _| panic!("no jobs"),
-                ordered.then_some(consume),
-                &RunProbe::disabled(),
-            );
-            assert_eq!(states, vec![7]);
-            assert_eq!(stats.steals, 0);
-        }
+        let (states, stats) = run(
+            0,
+            4,
+            |_| ((), 7u64),
+            |_, _, _| panic!("no jobs"),
+            Some(|_, _: ()| -> ControlFlow<()> { panic!("no jobs to consume") }),
+            &RunProbe::disabled(),
+        );
+        assert_eq!(states, vec![7]);
+        assert_eq!(stats.steals, 0);
     }
 
     #[test]
@@ -375,27 +372,30 @@ mod tests {
         assert_eq!(stats.workers, 2);
     }
 
+    /// 40 jobs over 2 workers where every even index sleeps 2 ms. With
+    /// round-robin dealing, shard 0 gets all the slow jobs, so worker 1
+    /// must steal some of them.
+    fn straggler_steals(ordered: bool) -> PoolStats {
+        let (_, stats) = run(
+            40,
+            2,
+            |_| ((), ()),
+            |_, _, i| {
+                if i % 2 == 0 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            },
+            ordered.then_some(|_, ()| ControlFlow::Continue(())),
+            &RunProbe::disabled(),
+        );
+        stats
+    }
+
     #[test]
     fn stealing_relieves_a_straggling_shard() {
-        // With round-robin dealing over 2 workers, shard 0 gets all the
-        // slow jobs (even indices). Worker 1 must steal some of them,
-        // whether or not an ordered consumer is attached.
-        for ordered in [false, true] {
-            let (_, stats) = run(
-                40,
-                2,
-                |_| ((), ()),
-                |_, _, i| {
-                    if i % 2 == 0 {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                },
-                ordered.then_some(|_, ()| ControlFlow::Continue(())),
-                &RunProbe::disabled(),
-            );
-            if stats.workers == 2 {
-                assert!(stats.steals > 0, "expected steals, got {stats:?}");
-            }
+        let stats = straggler_steals(true);
+        if stats.workers == 2 {
+            assert!(stats.steals > 0, "expected steals, got {stats:?}");
         }
     }
 
@@ -549,6 +549,28 @@ mod tests {
             all.sort_unstable();
             assert_eq!(all, (0..100).collect::<Vec<_>>());
             assert_eq!(consumed, (0..100).map(|i| (i, i)).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn folded_zero_jobs_returns_initial_states() {
+        let (states, stats) = run(
+            0,
+            4,
+            |_| ((), 7u64),
+            |_, _, _| panic!("no jobs"),
+            unordered::<()>(),
+            &RunProbe::disabled(),
+        );
+        assert_eq!(states, vec![7]);
+        assert_eq!(stats.steals, 0);
+    }
+
+    #[test]
+    fn folded_steals_relieve_stragglers() {
+        let stats = straggler_steals(false);
+        if stats.workers == 2 {
+            assert!(stats.steals > 0, "expected steals, got {stats:?}");
         }
     }
 
