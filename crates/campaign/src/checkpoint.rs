@@ -10,7 +10,7 @@
 //! a flipped byte is rejected on load, not merged silently.
 
 use crate::spec::CampaignSpec;
-use reorder_core::jsonx;
+use reorder_core::jsonx::{self, Object};
 use reorder_core::telemetry::WorkerTelemetry;
 use reorder_survey::{seal, unseal, ShardAggregator};
 use std::collections::BTreeSet;
@@ -58,7 +58,10 @@ pub fn atomic_write(dst: &Path, bytes: &[u8]) -> io::Result<()> {
 pub struct AtomicFile {
     dst: PathBuf,
     tmp: PathBuf,
-    file: Option<BufWriter<File>>,
+    file: BufWriter<File>,
+    /// Set once the staged file is renamed into place; until then
+    /// `Drop` removes it.
+    committed: bool,
 }
 
 impl AtomicFile {
@@ -69,36 +72,34 @@ impl AtomicFile {
         Ok(AtomicFile {
             dst: dst.to_path_buf(),
             tmp,
-            file: Some(BufWriter::new(file)),
+            file: BufWriter::new(file),
+            committed: false,
         })
     }
 
     /// Flush, sync and rename the staged bytes into place.
     pub fn commit(mut self) -> io::Result<()> {
-        let mut writer = self.file.take().expect("commit consumes the writer");
-        writer.flush()?;
-        let file = writer
-            .into_inner()
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&self.tmp, &self.dst)
+        self.file.flush()?;
+        self.file.get_ref().sync_all()?;
+        fs::rename(&self.tmp, &self.dst)?;
+        self.committed = true;
+        Ok(())
     }
 }
 
 impl Write for AtomicFile {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.file.as_mut().expect("write after commit").write(buf)
+        self.file.write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.file.as_mut().expect("flush after commit").flush()
+        self.file.flush()
     }
 }
 
 impl Drop for AtomicFile {
     fn drop(&mut self) {
-        if self.file.take().is_some() {
+        if !self.committed {
             // Uncommitted: discard the staging file; `dst` never saw
             // a byte.
             let _ = fs::remove_file(&self.tmp);
@@ -163,14 +164,15 @@ impl Checkpoint {
     /// the stored one), then the exact state.
     pub fn from_json(text: &str) -> Result<Checkpoint, String> {
         let payload = unseal(text)?;
-        let schema = jsonx::str_field(&payload, "schema")?;
+        let obj = Object::parse(&payload)?;
+        let schema = obj.str("schema")?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(format!(
                 "unsupported checkpoint schema `{schema}` (this build reads {CHECKPOINT_SCHEMA})"
             ));
         }
-        let spec = CampaignSpec::from_json(jsonx::field(&payload, "spec")?)?;
-        let stored = jsonx::str_field(&payload, "fingerprint")?;
+        let spec = CampaignSpec::from_json(obj.raw("spec")?)?;
+        let stored = obj.str("fingerprint")?;
         let expect = format!("{:016x}", spec.fingerprint());
         if stored != expect {
             return Err(format!(
@@ -178,8 +180,8 @@ impl Checkpoint {
             ));
         }
         let mut completed = BTreeSet::new();
-        for raw in jsonx::elements(jsonx::field(&payload, "completed")?)? {
-            let shard: usize = raw.trim().parse().map_err(|_| "non-integer shard id")?;
+        for raw in jsonx::array(obj.raw("completed")?)? {
+            let shard: usize = raw.parse().map_err(|_| "non-integer shard id")?;
             if shard == 0 || shard > spec.shards {
                 return Err(format!(
                     "completed shard {shard} outside plan 1..={}",
@@ -191,9 +193,9 @@ impl Checkpoint {
         Ok(Checkpoint {
             spec,
             completed,
-            steals: jsonx::int_field(&payload, "steals")?,
-            agg: ShardAggregator::from_json(jsonx::field(&payload, "agg")?)?,
-            telemetry: WorkerTelemetry::from_state_json(jsonx::field(&payload, "telemetry")?)?,
+            steals: obj.int("steals")?,
+            agg: ShardAggregator::from_json(obj.raw("agg")?)?,
+            telemetry: WorkerTelemetry::from_state_json(obj.raw("telemetry")?)?,
         })
     }
 

@@ -9,19 +9,10 @@
 //! window, retry budget, telemetry mode — are deliberately excluded:
 //! they change how fast the bytes arrive, never which bytes.
 
-use reorder_core::jsonx;
+use reorder_core::jsonx::{self, Object};
 use reorder_core::telemetry::TelemetryMode;
 use reorder_survey::{Budget, CampaignConfig, PopulationModel, TechniqueChoice};
 use std::time::Duration;
-
-/// Parse a JSON `true`/`false` field.
-fn bool_field(text: &str, key: &str) -> Result<bool, String> {
-    match jsonx::field(text, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("`{key}` is not a bool: `{other}`")),
-    }
-}
 
 /// The output-affecting configuration of one campaign, plus its shard
 /// plan. Field set mirrors [`CampaignConfig`] minus the runtime knobs
@@ -120,25 +111,26 @@ impl CampaignSpec {
     /// required; an out-of-range shard count is rejected here so no
     /// planner downstream sees `shards == 0`.
     pub fn from_json(text: &str) -> Result<CampaignSpec, String> {
+        let obj = Object::parse(text)?;
         let mut gaps_us = Vec::new();
-        for raw in jsonx::elements(jsonx::field(text, "gaps_us")?)? {
-            gaps_us.push(raw.trim().parse().map_err(|_| "non-integer gap")?);
+        for raw in jsonx::array(obj.raw("gaps_us")?)? {
+            gaps_us.push(raw.parse().map_err(|_| "non-integer gap")?);
         }
         let spec = CampaignSpec {
-            hosts: jsonx::int_field(text, "hosts")?,
-            seed: jsonx::int_field(text, "seed")?,
-            samples: jsonx::int_field(text, "samples")?,
-            rounds: jsonx::int_field(text, "rounds")?,
-            technique: TechniqueChoice::parse(jsonx::str_field(text, "technique")?)?,
-            baseline: bool_field(text, "baseline")?,
-            amenability_only: bool_field(text, "amenability_only")?,
+            hosts: obj.int("hosts")?,
+            seed: obj.int("seed")?,
+            samples: obj.int("samples")?,
+            rounds: obj.int("rounds")?,
+            technique: TechniqueChoice::parse(obj.str("technique")?)?,
+            baseline: obj.bool("baseline")?,
+            amenability_only: obj.bool("amenability_only")?,
             gaps_us,
-            chaos_ppm: jsonx::int_field(text, "chaos_ppm")?,
-            deadline_ms: jsonx::int_field(text, "deadline_ms")?,
-            host_retries: jsonx::int_field(text, "host_retries")?,
-            backoff_ms: jsonx::int_field(text, "backoff_ms")?,
-            shards: jsonx::int_field(text, "shards")?,
-            jsonl: bool_field(text, "jsonl")?,
+            chaos_ppm: obj.int("chaos_ppm")?,
+            deadline_ms: obj.int("deadline_ms")?,
+            host_retries: obj.int("host_retries")?,
+            backoff_ms: obj.int("backoff_ms")?,
+            shards: obj.int("shards")?,
+            jsonl: obj.bool("jsonl")?,
         };
         if spec.shards == 0 {
             return Err("campaign wants at least 1 shard".into());

@@ -5,7 +5,12 @@
 //! and a sealed document with any single flipped bit must be rejected
 //! by the integrity hash rather than merged silently. These two laws
 //! are what let `--resume` promise byte-identical output instead of
-//! "approximately the same numbers".
+//! "approximately the same numbers". A third keeps a resealed edit out:
+//! a sealed checkpoint or shard state whose payload lost a member,
+//! gained a duplicate or grew a byte at any depth fails to load.
+
+#[path = "../../core/tests/support/json_edits.rs"]
+mod json_edits;
 
 use proptest::prelude::*;
 use reorder_campaign::{CampaignSpec, Checkpoint};
@@ -13,12 +18,22 @@ use reorder_core::metrics::ReorderEstimate;
 use reorder_core::stats::{Moments, QuantileSketch};
 use reorder_core::telemetry::{TelemetryMode, WorkerTelemetry};
 use reorder_survey::aggregate::GroupAgg;
-use reorder_survey::{unseal, CampaignSummary, ShardAggregator};
+use reorder_survey::{seal, unseal, CampaignSummary, FailureAgg, ShardAggregator, ShardState};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 const LABELS: [&str; 6] = ["dual", "syn", "transfer", "striping", "freebsd4", "linux"];
 const COUNTERS: [&str; 3] = ["netsim.events", "pool.hits", "sched.tasks"];
 const SPANS: [&str; 3] = ["host", "measure", "baseline"];
+/// Keys whose values are label-keyed maps in the campaign documents.
+const MAPS: [&str; 6] = [
+    "by_technique",
+    "by_personality",
+    "by_mechanism",
+    "failure_taxonomy",
+    "counters",
+    "spans",
+];
 
 /// One observation a worker might record mid-campaign (same op
 /// language as `prop_telemetry.rs` in core).
@@ -79,9 +94,45 @@ fn arb_group() -> impl Strategy<Value = GroupAgg> {
     })
 }
 
+/// One failure class: consistent failed/degraded split, with host
+/// counts by mechanism and by personality.
+fn arb_failure() -> impl Strategy<Value = FailureAgg> {
+    (
+        0u64..1_000,
+        0u64..1_000,
+        proptest::collection::vec((0usize..LABELS.len(), 1u64..100), 1..5),
+    )
+        .prop_map(|(failed, degraded, breakdown)| {
+            let mut agg = FailureAgg {
+                hosts: failed + degraded,
+                failed,
+                degraded,
+                ..FailureAgg::default()
+            };
+            for (i, (slot, n)) in breakdown.into_iter().enumerate() {
+                match i % 2 {
+                    0 => agg.by_mechanism.insert(LABELS[slot], n),
+                    _ => agg.by_personality.insert(LABELS[slot], n),
+                };
+            }
+            agg
+        })
+}
+
 /// A full shard aggregation state: counters, rate moments, pooled
-/// estimates, quantile sketch, grouped breakdowns and a gap profile.
+/// estimates, quantile sketch, grouped breakdowns, a failure taxonomy
+/// and a gap profile.
 fn arb_shard() -> impl Strategy<Value = ShardAggregator> {
+    arb_shard_with(0..5, 0..3)
+}
+
+/// [`arb_shard`] with `groups` breakdown entries and `classes`
+/// failure classes.
+fn arb_shard_with(
+    groups: Range<usize>,
+    classes: Range<usize>,
+) -> impl Strategy<Value = ShardAggregator> {
+    const CLASSES: [&str; 3] = ["unreachable", "refused", "died-mid-measurement"];
     (
         proptest::collection::vec(0u64..1_000_000, 7),
         (
@@ -90,11 +141,12 @@ fn arb_shard() -> impl Strategy<Value = ShardAggregator> {
             proptest::collection::vec(0.0f64..1.0, 0..16),
         ),
         (arb_est(), arb_est(), arb_est()),
-        proptest::collection::vec((0usize..LABELS.len(), arb_group()), 0..5),
+        proptest::collection::vec((0usize..LABELS.len(), arb_group()), groups),
         proptest::collection::vec((0u64..2_000, arb_est()), 0..5),
         0u64..1_000_000_000,
+        proptest::collection::vec((0usize..CLASSES.len(), arb_failure()), classes),
     )
-        .prop_map(|(counts, rates, pooled, groups, gaps, events)| {
+        .prop_map(|(counts, rates, pooled, groups, gaps, events, classes)| {
             let (fwd_rates, rev_rates, sketch_vals) = rates;
             let mut fwd_sketch = QuantileSketch::new();
             for v in &sketch_vals {
@@ -135,7 +187,10 @@ fn arb_shard() -> impl Strategy<Value = ShardAggregator> {
                 failed: counts[5].min(hosts),
                 degraded: counts[4].min(hosts - counts[5].min(hosts)),
                 failure_rounds: counts[3],
-                failure_taxonomy: BTreeMap::new(),
+                failure_taxonomy: classes
+                    .into_iter()
+                    .map(|(slot, agg)| (CLASSES[slot], agg))
+                    .collect(),
                 gap_profile: gaps.into_iter().collect(),
             };
             ShardAggregator { summary, events }
@@ -216,5 +271,60 @@ proptest! {
             i
         );
         prop_assert!(unseal(&corrupt).is_err() || Checkpoint::from_json(&corrupt).is_err());
+    }
+}
+
+/// Reseal every structural edit of a sealed document's payload and
+/// require `loads` to refuse it. Any byte after the seal other than
+/// the trailing whitespace a stored file ends with is refused too.
+fn refuses_every_edit(sealed: &str, salt: usize, loads: impl Fn(&str) -> bool) -> TestCaseResult {
+    prop_assert!(loads(sealed), "sanity: the untouched document loads");
+    for junk in json_edits::JUNK.iter().filter(|b| !b.is_ascii_whitespace()) {
+        let trailing = format!("{sealed}{}", *junk as char);
+        prop_assert!(
+            !loads(&trailing),
+            "loaded with {:?} after the seal",
+            *junk as char
+        );
+    }
+    let payload = unseal(sealed).expect("own seal");
+    for (edit, doc) in json_edits::edits(&payload, &MAPS, salt) {
+        prop_assert!(!loads(&seal(&doc)), "loaded after the edit: {}", edit);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A structural edit is an error at every depth. Delete a member
+    /// of any fixed-key object, duplicate any member (map entries
+    /// included) or append a byte after any value of a checkpoint or
+    /// shard-state payload, reseal it, and the load fails: never a
+    /// state that differs from the one saved, never a panic.
+    #[test]
+    fn resealed_structural_edits_are_rejected(
+        shard in arb_shard_with(1..4, 1..3),
+        ops in arb_ops(12),
+        salt in 0usize..json_edits::JUNK.len(),
+    ) {
+        let mut ckpt = Checkpoint::new(CampaignSpec {
+            shards: 3,
+            gaps_us: vec![0, 50],
+            ..CampaignSpec::default()
+        });
+        ckpt.completed.insert(2);
+        ckpt.agg = shard.clone();
+        ckpt.telemetry = apply(&ops);
+        ckpt.steals = 5;
+        refuses_every_edit(&ckpt.to_json(), salt, |t| Checkpoint::from_json(t).is_ok())?;
+        let state = ShardState {
+            shard: 2,
+            shards: 3,
+            agg: shard,
+            telemetry: ckpt.telemetry,
+            steals: 5,
+        };
+        refuses_every_edit(&state.to_json(), salt, |t| ShardState::from_json(t).is_ok())?;
     }
 }

@@ -253,3 +253,64 @@ fn start_refuses_a_directory_holding_a_different_plan() {
 
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Copy a committed fixture directory tree into `dst`.
+fn copy_tree(src: &Path, dst: &Path) {
+    fs::create_dir_all(dst).unwrap();
+    for entry in fs::read_dir(src).unwrap() {
+        let path = entry.unwrap().path();
+        let to = dst.join(path.file_name().unwrap());
+        if path.is_dir() {
+            copy_tree(&path, &to);
+        } else {
+            fs::copy(&path, &to).unwrap();
+        }
+    }
+}
+
+/// A crashed chaos campaign written by an earlier build of the same
+/// schemas — `reorder campaign --hosts 40 --shards 4 --samples 3
+/// --seed 1 --chaos 20% --jsonl --workers 1 --inflight 1 --telemetry
+/// summary --fail-after-shards 2`, so a checkpoint with shards 1 and 2
+/// completed and a populated failure taxonomy, plus three JSONL parts
+/// — resumes to the bytes of a fresh run of the same plan. A reader
+/// change that refuses or misreads what an earlier build wrote fails
+/// here.
+#[test]
+fn a_checkpoint_an_earlier_build_wrote_resumes_to_identical_bytes() {
+    let spec = CampaignSpec {
+        hosts: 40,
+        shards: 4,
+        samples: 3,
+        seed: 1,
+        chaos_ppm: 200_000,
+        jsonl: true,
+        ..CampaignSpec::default()
+    };
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_chaos_crash");
+    let stored = Checkpoint::load(&checkpoint_path(&fixture)).expect("the fixture loads");
+    assert_eq!(stored.spec, spec);
+    assert_eq!(stored.completed.iter().copied().collect::<Vec<_>>(), [1, 2]);
+    assert!(!stored.agg.summary.failure_taxonomy.is_empty());
+
+    let dir = tmpdir("fixture");
+    copy_tree(&fixture, &dir);
+    let resumed = resume(&dir, &opts(), &runner()).expect("resume of the fixture");
+    assert!(!resumed.interrupted && resumed.failed.is_empty());
+    assert_eq!((resumed.resumed, resumed.completed_now), (2, 2));
+
+    let fresh_dir = tmpdir("fixture_fresh");
+    let fresh = start(&fresh_dir, spec, &opts(), &runner()).expect("fresh run");
+    for (what, a, b) in [
+        ("summary.txt", &resumed.summary_path, &fresh.summary_path),
+        ("campaign.jsonl", &resumed.jsonl_path, &fresh.jsonl_path),
+    ] {
+        let (a, b) = (a.as_deref().expect(what), b.as_deref().expect(what));
+        assert!(
+            read(a) == read(b),
+            "{what} differs after resuming the fixture"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&fresh_dir);
+}

@@ -6,6 +6,8 @@
 //! difference between tests can be explained purely in terms of
 //! intra-test variability."
 
+use crate::jsonx::{self, Object};
+
 /// Arithmetic mean (0 for empty input).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -241,83 +243,39 @@ impl QuantileSketch {
     /// resolutions, so a silent cross-resolution merge would corrupt
     /// quantiles).
     pub fn from_json(text: &str) -> Result<QuantileSketch, String> {
-        fn field<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-            let pat = format!("\"{key}\":");
-            let at = text
-                .find(&pat)
-                .ok_or_else(|| format!("missing `{key}` in sketch JSON"))?;
-            Ok(&text[at + pat.len()..])
-        }
-        fn number(text: &str, key: &str) -> Result<u64, String> {
-            let rest = field(text, key)?;
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end]
-                .parse()
-                .map_err(|_| format!("bad `{key}` in sketch JSON"))
-        }
-        fn pairs(text: &str, key: &str) -> Result<std::collections::BTreeMap<i32, u64>, String> {
-            let rest = field(text, key)?;
-            let rest = rest
-                .strip_prefix('[')
-                .ok_or_else(|| format!("`{key}` is not an array"))?;
-            // The payload runs to the `]` that closes the outer array:
-            // track bracket depth (entries are `[k,c]` pairs).
-            let mut depth = 1i32;
-            let mut end = None;
-            for (i, ch) in rest.char_indices() {
-                match ch {
-                    '[' => depth += 1,
-                    ']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = Some(i);
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let end = end.ok_or_else(|| format!("unterminated `{key}` array"))?;
-            let body = &rest[..end];
+        fn buckets(raw: &str) -> Result<std::collections::BTreeMap<i32, u64>, String> {
             let mut map = std::collections::BTreeMap::new();
-            for pair in body.split("],") {
-                let pair = pair.trim_matches(|c| c == '[' || c == ']' || c == ',' || c == ' ');
-                if pair.is_empty() {
-                    continue;
-                }
-                let (k, c) = pair
-                    .split_once(',')
-                    .ok_or_else(|| format!("bad pair `{pair}` in `{key}`"))?;
-                let k: i32 = k
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad key `{k}` in `{key}`"))?;
-                let c: u64 = c
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad count `{c}` in `{key}`"))?;
+            for pair in jsonx::array(raw)? {
+                let [key, count] = jsonx::ints::<i128, 2>(pair)?;
+                let (Ok(k), Ok(c)) = (i32::try_from(key), u64::try_from(count)) else {
+                    return Err(format!("sketch bucket {pair} out of range"));
+                };
                 if map.insert(k, c).is_some() {
-                    return Err(format!("duplicate key {k} in `{key}`"));
+                    return Err(format!("duplicate sketch bucket {k}"));
                 }
             }
             Ok(map)
         }
-        let sub_bits = number(text, "sub_bits")?;
-        if sub_bits != u64::from(SKETCH_SUB_BITS) {
+        let obj = Object::parse(text)?;
+        let sub_bits: u32 = obj.int("sub_bits")?;
+        if sub_bits != SKETCH_SUB_BITS {
             return Err(format!(
                 "sketch resolution mismatch: file has sub_bits={sub_bits}, build uses {SKETCH_SUB_BITS}"
             ));
         }
         let mut sk = QuantileSketch {
-            zero: number(text, "zero")?,
-            nan: number(text, "nan")?,
-            neg: pairs(text, "neg")?,
-            pos: pairs(text, "pos")?,
+            zero: obj.int("zero")?,
+            nan: obj.int("nan")?,
+            neg: buckets(obj.raw("neg")?)?,
+            pos: buckets(obj.raw("pos")?)?,
             count: 0,
         };
-        sk.count = sk.zero + sk.neg.values().sum::<u64>() + sk.pos.values().sum::<u64>();
+        sk.count = sk
+            .neg
+            .values()
+            .chain(sk.pos.values())
+            .try_fold(sk.zero, |n, &c| n.checked_add(c))
+            .ok_or("sketch count overflows u64")?;
         Ok(sk)
     }
 }
@@ -445,25 +403,11 @@ impl Moments {
     /// Parse a [`Moments::to_json`] string back into the exact state.
     /// Rejects malformed input rather than defaulting any field.
     pub fn from_json(text: &str) -> Result<Moments, String> {
-        fn int<T: std::str::FromStr>(text: &str, key: &str) -> Result<T, String> {
-            let pat = format!("\"{key}\":");
-            let at = text
-                .find(&pat)
-                .ok_or_else(|| format!("missing `{key}` in moments JSON"))?;
-            let rest = &text[at + pat.len()..];
-            let end = rest
-                .char_indices()
-                .find(|&(i, c)| !(c.is_ascii_digit() || (i == 0 && c == '-')))
-                .map(|(i, _)| i)
-                .unwrap_or(rest.len());
-            rest[..end]
-                .parse()
-                .map_err(|_| format!("bad `{key}` in moments JSON"))
-        }
+        let obj = Object::parse(text)?;
         Ok(Moments {
-            n: int(text, "n")?,
-            sum: int(text, "sum")?,
-            sumsq: int(text, "sumsq")?,
+            n: obj.int("n")?,
+            sum: obj.int("sum")?,
+            sumsq: obj.int("sumsq")?,
         })
     }
 }

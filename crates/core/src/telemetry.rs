@@ -21,7 +21,7 @@
 //! so they live only in telemetry output — never in campaign reports,
 //! whose bytes stay pinned regardless of mode.
 
-use crate::jsonx;
+use crate::jsonx::Object;
 use crate::stats::{Moments, QuantileSketch};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,12 +35,14 @@ use std::time::Instant;
 /// documents carry only labels some build emitted.
 pub fn intern_label(label: &str) -> &'static str {
     use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::{Mutex, OnceLock, PoisonError};
     static INTERNED: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+    // A panic elsewhere while the set was locked leaves it intact (an
+    // insert is the only write), so a poisoned lock is still usable.
     let mut set = INTERNED
         .get_or_init(|| Mutex::new(BTreeSet::new()))
         .lock()
-        .expect("label interner poisoned");
+        .unwrap_or_else(PoisonError::into_inner);
     match set.get(label) {
         Some(&interned) => interned,
         None => {
@@ -181,9 +183,10 @@ impl SpanStats {
 
     /// Parse a [`SpanStats::state_json`] document back bit-exactly.
     pub fn from_state_json(text: &str) -> Result<SpanStats, String> {
+        let obj = Object::parse(text)?;
         Ok(SpanStats {
-            secs: Moments::from_json(jsonx::field(text, "secs")?)?,
-            sketch: QuantileSketch::from_json(jsonx::field(text, "sketch")?)?,
+            secs: Moments::from_json(obj.raw("secs")?)?,
+            sketch: QuantileSketch::from_json(obj.raw("sketch")?)?,
         })
     }
 }
@@ -330,14 +333,13 @@ impl WorkerTelemetry {
     /// exact state, interning restored labels via [`intern_label`].
     /// Rejects malformed documents rather than defaulting fields.
     pub fn from_state_json(text: &str) -> Result<WorkerTelemetry, String> {
+        let obj = Object::parse(text)?;
         let mut tel = WorkerTelemetry::new();
-        for elem in jsonx::elements(jsonx::field(text, "counters")?)? {
-            let (key, val) = jsonx::member(elem)?;
+        for &(key, val) in Object::parse(obj.raw("counters")?)?.members() {
             let n: u64 = val.parse().map_err(|_| format!("bad counter `{key}`"))?;
             tel.counters.insert(intern_label(key), n);
         }
-        for elem in jsonx::elements(jsonx::field(text, "spans")?)? {
-            let (key, val) = jsonx::member(elem)?;
+        for &(key, val) in Object::parse(obj.raw("spans")?)?.members() {
             tel.spans
                 .insert(intern_label(key), SpanStats::from_state_json(val)?);
         }

@@ -74,7 +74,7 @@ fn declaration_complete(decl: &str) -> bool {
 }
 
 /// Extract the public item declarations of one source file, skipping
-/// private modules (`mod tests`, `mod json`, …) wholesale: a private
+/// private modules (`mod tests`, …) wholesale: a private
 /// module's `pub` items are not crate API. Declarations spanning
 /// several lines (brace-lists of `pub use`, multi-line `pub fn`
 /// signatures) are joined, so a change to any re-export or parameter

@@ -18,7 +18,7 @@
 //! serialized, reloaded and merged losslessly.
 
 use crate::pipeline::{HostOutcome, HostReport};
-use reorder_core::jsonx;
+use reorder_core::jsonx::{self, Object};
 use reorder_core::metrics::ReorderEstimate;
 use reorder_core::stats::{Moments, QuantileSketch, SKETCH_RELATIVE_ERROR};
 use reorder_core::techniques::IpidVerdict;
@@ -32,22 +32,33 @@ fn est_json(e: &ReorderEstimate) -> String {
     format!("[{},{}]", e.reordered, e.total)
 }
 
-/// Parse an [`est_json`] pair, rejecting `reordered > total` (the
-/// invariant [`ReorderEstimate::new`] asserts) instead of panicking on
-/// corrupt input.
+/// Parse an [`est_json`] pair.
 fn est_from_json(raw: &str) -> Result<ReorderEstimate, String> {
-    let parts = jsonx::elements(raw)?;
-    if parts.len() != 2 {
-        return Err("estimate wants [reordered,total]".into());
-    }
-    let reordered: usize = parts[0]
-        .parse()
-        .map_err(|_| "non-integer reordered count")?;
-    let total: usize = parts[1].parse().map_err(|_| "non-integer total count")?;
+    let [reordered, total] = jsonx::ints(raw)?;
+    estimate(reordered, total)
+}
+
+/// A restored estimate, rejecting `reordered > total` (the invariant
+/// [`ReorderEstimate::new`] asserts) instead of panicking on corrupt
+/// input.
+fn estimate(reordered: usize, total: usize) -> Result<ReorderEstimate, String> {
     if reordered > total {
         return Err(format!("estimate {reordered}/{total} exceeds its total"));
     }
     Ok(ReorderEstimate { reordered, total })
+}
+
+/// Read a label-keyed map (a breakdown or a failure taxonomy), each
+/// entry through `read`, interning the labels.
+fn label_map<T>(
+    raw: &str,
+    read: impl Fn(&str) -> Result<T, String>,
+) -> Result<BTreeMap<&'static str, T>, String> {
+    let mut map = BTreeMap::new();
+    for &(key, val) in Object::parse(raw)?.members() {
+        map.insert(intern_label(key), read(val)?);
+    }
+    Ok(map)
 }
 
 /// Upper bucket bounds of [`RateHistogram`] (a first bucket catches
@@ -198,11 +209,12 @@ impl GroupAgg {
 
     /// Parse a [`GroupAgg::to_json`] document back bit-exactly.
     pub fn from_json(text: &str) -> Result<GroupAgg, String> {
+        let obj = Object::parse(text)?;
         Ok(GroupAgg {
-            hosts: jsonx::int_field(text, "hosts")?,
-            fwd: est_from_json(jsonx::field(text, "fwd")?)?,
-            rev: est_from_json(jsonx::field(text, "rev")?)?,
-            fwd_rates: Moments::from_json(jsonx::field(text, "fwd_rates")?)?,
+            hosts: obj.int("hosts")?,
+            fwd: est_from_json(obj.raw("fwd")?)?,
+            rev: est_from_json(obj.raw("rev")?)?,
+            fwd_rates: Moments::from_json(obj.raw("fwd_rates")?)?,
         })
     }
 }
@@ -282,23 +294,19 @@ impl FailureAgg {
 
     /// Parse a [`FailureAgg::to_json`] document back bit-exactly.
     pub fn from_json(text: &str) -> Result<FailureAgg, String> {
-        let mut agg = FailureAgg {
-            hosts: jsonx::int_field(text, "hosts")?,
-            failed: jsonx::int_field(text, "failed")?,
-            degraded: jsonx::int_field(text, "degraded")?,
-            ..FailureAgg::default()
+        let obj = Object::parse(text)?;
+        let count = |raw: &str| {
+            raw.parse::<u64>()
+                .map_err(|_| format!("bad host count `{raw}`"))
         };
-        for (name, map) in [
-            ("by_mechanism", &mut agg.by_mechanism),
-            ("by_personality", &mut agg.by_personality),
-        ] {
-            for elem in jsonx::elements(jsonx::field(text, name)?)? {
-                let (key, val) = jsonx::member(elem)?;
-                let n: u64 = val.trim().parse().map_err(|_| "non-integer host count")?;
-                map.insert(intern_label(key), n);
-            }
-        }
-        if agg.failed + agg.degraded != agg.hosts {
+        let agg = FailureAgg {
+            hosts: obj.int("hosts")?,
+            failed: obj.int("failed")?,
+            degraded: obj.int("degraded")?,
+            by_mechanism: label_map(obj.raw("by_mechanism")?, count)?,
+            by_personality: label_map(obj.raw("by_personality")?, count)?,
+        };
+        if agg.failed.checked_add(agg.degraded) != Some(agg.hosts) {
             return Err(format!(
                 "failure class counts {}+{} disagree with hosts {}",
                 agg.failed, agg.degraded, agg.hosts
@@ -534,48 +542,39 @@ impl CampaignSummary {
     /// exact state. Malformed documents are rejected field-by-field;
     /// nothing is defaulted.
     pub fn from_json(text: &str) -> Result<CampaignSummary, String> {
+        let obj = Object::parse(text)?;
         let mut sum = CampaignSummary {
-            hosts: jsonx::int_field(text, "hosts")?,
-            reachable: jsonx::int_field(text, "reachable")?,
-            amenable: jsonx::int_field(text, "amenable")?,
-            constant_zero: jsonx::int_field(text, "constant_zero")?,
-            non_monotonic: jsonx::int_field(text, "non_monotonic")?,
-            probe_failed: jsonx::int_field(text, "probe_failed")?,
-            reordering_hosts: jsonx::int_field(text, "reordering_hosts")?,
-            fwd_rates: Moments::from_json(jsonx::field(text, "fwd_rates")?)?,
-            rev_rates: Moments::from_json(jsonx::field(text, "rev_rates")?)?,
-            fwd_pooled: est_from_json(jsonx::field(text, "fwd_pooled")?)?,
-            rev_pooled: est_from_json(jsonx::field(text, "rev_pooled")?)?,
-            baseline_pooled: est_from_json(jsonx::field(text, "baseline_pooled")?)?,
-            fwd_sketch: QuantileSketch::from_json(jsonx::field(text, "fwd_sketch")?)?,
-            failed: jsonx::int_field(text, "failed")?,
-            degraded: jsonx::int_field(text, "degraded")?,
-            failure_rounds: jsonx::int_field(text, "failure_rounds")?,
-            ..CampaignSummary::default()
+            hosts: obj.int("hosts")?,
+            reachable: obj.int("reachable")?,
+            amenable: obj.int("amenable")?,
+            constant_zero: obj.int("constant_zero")?,
+            non_monotonic: obj.int("non_monotonic")?,
+            probe_failed: obj.int("probe_failed")?,
+            reordering_hosts: obj.int("reordering_hosts")?,
+            fwd_rates: Moments::from_json(obj.raw("fwd_rates")?)?,
+            rev_rates: Moments::from_json(obj.raw("rev_rates")?)?,
+            fwd_pooled: est_from_json(obj.raw("fwd_pooled")?)?,
+            rev_pooled: est_from_json(obj.raw("rev_pooled")?)?,
+            baseline_pooled: est_from_json(obj.raw("baseline_pooled")?)?,
+            fwd_sketch: QuantileSketch::from_json(obj.raw("fwd_sketch")?)?,
+            by_technique: label_map(obj.raw("by_technique")?, GroupAgg::from_json)?,
+            by_personality: label_map(obj.raw("by_personality")?, GroupAgg::from_json)?,
+            by_mechanism: label_map(obj.raw("by_mechanism")?, GroupAgg::from_json)?,
+            failed: obj.int("failed")?,
+            degraded: obj.int("degraded")?,
+            failure_rounds: obj.int("failure_rounds")?,
+            failure_taxonomy: label_map(obj.raw("failure_taxonomy")?, FailureAgg::from_json)?,
+            gap_profile: BTreeMap::new(),
         };
-        for elem in jsonx::elements(jsonx::field(text, "failure_taxonomy")?)? {
-            let (key, val) = jsonx::member(elem)?;
-            sum.failure_taxonomy
-                .insert(intern_label(key), FailureAgg::from_json(val)?);
-        }
-        for (name, map) in [
-            ("by_technique", &mut sum.by_technique),
-            ("by_personality", &mut sum.by_personality),
-            ("by_mechanism", &mut sum.by_mechanism),
-        ] {
-            for elem in jsonx::elements(jsonx::field(text, name)?)? {
-                let (key, val) = jsonx::member(elem)?;
-                map.insert(intern_label(key), GroupAgg::from_json(val)?);
+        for row in jsonx::array(obj.raw("gap_profile")?)? {
+            let [gap, reordered, total] = jsonx::ints(row)?;
+            if sum
+                .gap_profile
+                .insert(gap as u64, estimate(reordered, total)?)
+                .is_some()
+            {
+                return Err(format!("duplicate gap_profile row for {gap} us"));
             }
-        }
-        for elem in jsonx::elements(jsonx::field(text, "gap_profile")?)? {
-            let parts = jsonx::elements(elem)?;
-            if parts.len() != 3 {
-                return Err("gap_profile row wants [gap,reordered,total]".into());
-            }
-            let gap: u64 = parts[0].parse().map_err(|_| "non-integer gap")?;
-            let est = est_from_json(&format!("[{},{}]", parts[1], parts[2]))?;
-            sum.gap_profile.insert(gap, est);
         }
         Ok(sum)
     }
@@ -764,8 +763,7 @@ impl ShardAggregator {
     }
 
     /// Serialize the exact shard state — the unit the campaign
-    /// orchestrator checkpoints at every shard boundary. `events` is
-    /// emitted first so the summary's own keys can never shadow it.
+    /// orchestrator checkpoints at every shard boundary.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"events\":{},\"summary\":{}}}",
@@ -778,9 +776,10 @@ impl ShardAggregator {
     /// restored state merges and renders identically to the original
     /// (asserted by the checkpoint property suite).
     pub fn from_json(text: &str) -> Result<ShardAggregator, String> {
+        let obj = Object::parse(text)?;
         Ok(ShardAggregator {
-            events: jsonx::int_field(text, "events")?,
-            summary: CampaignSummary::from_json(jsonx::field(text, "summary")?)?,
+            events: obj.int("events")?,
+            summary: CampaignSummary::from_json(obj.raw("summary")?)?,
         })
     }
 }
@@ -947,6 +946,54 @@ mod tests {
                 .replace("\"fwd_pooled\":[0,0]", "\"fwd_pooled\":[5,2]")
             + "}";
         assert!(ShardAggregator::from_json(&bad).is_err());
+        // Two gap-profile rows for one gap: an error, not the last row
+        // silently winning.
+        let repeated = good.replacen("\"gap_profile\":[[0,", "\"gap_profile\":[[50,", 1);
+        assert_ne!(repeated, good);
+        assert!(ShardAggregator::from_json(&repeated).is_err());
+    }
+
+    /// A chaos campaign's summary nests `hosts` in every group and
+    /// failure class and `failed` in every failure class, so a reader
+    /// that looked keys up anywhere in the text loaded a nested count
+    /// when the top-level member was gone. Each of these documents is
+    /// refused instead.
+    #[test]
+    fn summary_json_refuses_missing_duplicated_and_trailing_members() {
+        let cfg = crate::engine::CampaignConfig {
+            hosts: 60,
+            workers: 1,
+            samples: 3,
+            baseline: false,
+            model: crate::population::PopulationModel {
+                chaos_ppm: 300_000,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let sum = crate::engine::run_campaign(&cfg, None::<&mut Vec<u8>>)
+            .expect("no sink")
+            .summary;
+        assert!(sum.failed > 0 && !sum.failure_taxonomy.is_empty());
+        let good = sum.to_json();
+        CampaignSummary::from_json(&good).expect("the intact document loads");
+        let without_failed = good.replacen(
+            &format!(",\"failed\":{},\"degraded\":{},", sum.failed, sum.degraded),
+            &format!(",\"degraded\":{},", sum.degraded),
+            1,
+        );
+        let without_hosts = good.replacen(&format!("{{\"hosts\":{},", sum.hosts), "{", 1);
+        for (key, doc) in [("failed", &without_failed), ("hosts", &without_hosts)] {
+            assert_ne!(doc, &good, "`{key}` was not deleted");
+            assert!(doc.contains(&format!("\"{key}\":")), "`{key}` nests");
+            let err = CampaignSummary::from_json(doc).expect_err(key);
+            assert!(err.contains(&format!("missing `{key}`")), "{err}");
+        }
+        let duplicated = good.replacen("{\"hosts\":", "{\"failed\":0,\"hosts\":", 1);
+        let err = CampaignSummary::from_json(&duplicated).unwrap_err();
+        assert!(err.contains("duplicate `failed`"), "{err}");
+        assert!(CampaignSummary::from_json(&format!("{good}}}")).is_err());
+        assert!(CampaignSummary::from_json(&format!("{good}\n")).is_err());
     }
 
     #[test]

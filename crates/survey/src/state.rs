@@ -15,7 +15,7 @@
 
 use crate::aggregate::ShardAggregator;
 use crate::engine::{run_campaign, CampaignConfig};
-use reorder_core::jsonx;
+use reorder_core::jsonx::{self, Object};
 use reorder_core::telemetry::WorkerTelemetry;
 use std::io::{self, Write};
 
@@ -96,23 +96,24 @@ impl ShardState {
     /// first, then schema version, then the exact state.
     pub fn from_json(text: &str) -> Result<ShardState, String> {
         let payload = unseal(text)?;
-        let schema = jsonx::str_field(&payload, "schema")?;
+        let obj = Object::parse(&payload)?;
+        let schema = obj.str("schema")?;
         if schema != SHARD_SCHEMA {
             return Err(format!(
                 "unsupported shard-state schema `{schema}` (this build reads {SHARD_SCHEMA})"
             ));
         }
-        let shard: usize = jsonx::int_field(&payload, "shard")?;
-        let shards: usize = jsonx::int_field(&payload, "shards")?;
+        let shard: usize = obj.int("shard")?;
+        let shards: usize = obj.int("shards")?;
         if shards == 0 || shard == 0 || shard > shards {
             return Err(format!("invalid shard index {shard}/{shards}"));
         }
         Ok(ShardState {
             shard,
             shards,
-            steals: jsonx::int_field(&payload, "steals")?,
-            agg: ShardAggregator::from_json(jsonx::field(&payload, "agg")?)?,
-            telemetry: WorkerTelemetry::from_state_json(jsonx::field(&payload, "telemetry")?)?,
+            steals: obj.int("steals")?,
+            agg: ShardAggregator::from_json(obj.raw("agg")?)?,
+            telemetry: WorkerTelemetry::from_state_json(obj.raw("telemetry")?)?,
         })
     }
 }

@@ -5,6 +5,7 @@
 //! inside a bounded wall clock — no tarpit or blackhole host may burn
 //! more than its per-host budget.
 
+use reorder_core::jsonx::Object;
 use reorder_core::scenario::FaultClass;
 use reorder_survey::{run_campaign, CampaignConfig, PopulationModel};
 use std::collections::BTreeSet;
@@ -37,16 +38,6 @@ fn hostile_hosts() -> Vec<(u64, FaultClass)> {
     (0..HOSTS as u64)
         .filter_map(|id| model.host(id, SEED).fault.map(|f| (id, f)))
         .collect()
-}
-
-/// Pull `"key":"value"` out of one JSONL line.
-fn str_field<'a>(line: &'a str, key: &str) -> &'a str {
-    let tag = format!("\"{key}\":\"");
-    let at = line
-        .find(&tag)
-        .unwrap_or_else(|| panic!("no {key} in {line}"));
-    let rest = &line[at + tag.len()..];
-    &rest[..rest.find('"').expect("closing quote")]
 }
 
 #[test]
@@ -83,11 +74,11 @@ fn chaos_campaign_classifies_every_hostile_host_within_budget() {
     let outcomes: Vec<(u64, String)> = text
         .lines()
         .map(|l| {
-            let id: u64 = {
-                let rest = &l["{\"id\":".len()..];
-                rest[..rest.find(',').unwrap()].parse().unwrap()
-            };
-            (id, str_field(l, "outcome").to_string())
+            let line = Object::parse(l).unwrap_or_else(|e| panic!("{e}: {l}"));
+            (
+                line.int("id").unwrap(),
+                line.str("outcome").unwrap().to_string(),
+            )
         })
         .collect();
     for (id, fault) in &hostile {
