@@ -280,6 +280,20 @@ mod tests {
     }
 
     #[test]
+    fn resealed_summary_with_contradictory_counts_is_refused() {
+        // A resealed edit that keeps every member but makes `reachable`
+        // exceed `hosts`: `render` would subtract past zero on it, so
+        // the load refuses it instead.
+        let good = Checkpoint::new(CampaignSpec::default()).to_json();
+        let payload = unseal(&good).unwrap();
+        let edited = payload.replacen("\"reachable\":0,", "\"reachable\":5,", 1);
+        assert_ne!(edited, payload);
+        assert!(edited.contains("{\"hosts\":0,\"reachable\":5,"));
+        let err = Checkpoint::from_json(&seal(&edited)).unwrap_err();
+        assert!(err.contains("reachable 5 exceeds hosts 0"), "{err}");
+    }
+
+    #[test]
     fn checkpoint_rejects_corruption_and_mismatches() {
         let ckpt = Checkpoint::new(CampaignSpec::default());
         let good = ckpt.to_json();

@@ -163,18 +163,43 @@ fn arb_shard_with(
                     _ => by_mechanism.insert(label, group),
                 };
             }
-            // `render` computes `hosts - reachable`, so keep the
-            // generated state semantically valid: hosts bounds every
-            // other counter.
-            let hosts = counts.iter().copied().max().unwrap_or(0);
+            let failure_taxonomy: BTreeMap<_, _> = classes
+                .into_iter()
+                .map(|(slot, agg)| (CLASSES[slot], agg))
+                .collect();
+            let failed: u64 = failure_taxonomy.values().map(|f| f.failed).sum();
+            let degraded: u64 = failure_taxonomy.values().map(|f| f.degraded).sum();
+            // Keep the generated state one that absorb and merge can
+            // reach, since `from_json` refuses any other: every
+            // breakdown sums to `hosts` (topped up on its first row, or
+            // on a new one), the verdict tallies split `hosts`, and
+            // `hosts` bounds every other counter.
+            let breakdown_hosts = |map: &BTreeMap<&'static str, GroupAgg>| -> u64 {
+                map.values().map(|g| g.hosts).sum()
+            };
+            let hosts = counts[0]
+                .max(failed + degraded)
+                .max(breakdown_hosts(&by_technique))
+                .max(breakdown_hosts(&by_personality))
+                .max(breakdown_hosts(&by_mechanism));
+            for map in [&mut by_technique, &mut by_personality, &mut by_mechanism] {
+                let missing = hosts - breakdown_hosts(map);
+                if missing > 0 {
+                    map.entry(LABELS[0]).or_default().hosts += missing;
+                }
+            }
+            let part = |count: u64, of: u64| count % (of + 1);
+            let amenable = part(counts[2], hosts);
+            let constant_zero = part(counts[3], hosts - amenable);
+            let non_monotonic = part(counts[4], hosts - amenable - constant_zero);
             let summary = CampaignSummary {
                 hosts,
-                reachable: counts[1],
-                amenable: counts[2],
-                constant_zero: counts[3],
-                non_monotonic: counts[4],
-                probe_failed: counts[5],
-                reordering_hosts: counts[6],
+                reachable: part(counts[1], hosts),
+                amenable,
+                constant_zero,
+                non_monotonic,
+                probe_failed: hosts - amenable - constant_zero - non_monotonic,
+                reordering_hosts: part(counts[6], hosts),
                 fwd_rates,
                 rev_rates,
                 fwd_pooled: pooled.0,
@@ -184,13 +209,10 @@ fn arb_shard_with(
                 by_technique,
                 by_personality,
                 by_mechanism,
-                failed: counts[5].min(hosts),
-                degraded: counts[4].min(hosts - counts[5].min(hosts)),
-                failure_rounds: counts[3],
-                failure_taxonomy: classes
-                    .into_iter()
-                    .map(|(slot, agg)| (CLASSES[slot], agg))
-                    .collect(),
+                failed,
+                degraded,
+                failure_rounds: counts[5],
+                failure_taxonomy,
                 gap_profile: gaps.into_iter().collect(),
             };
             ShardAggregator { summary, events }

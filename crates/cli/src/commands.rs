@@ -546,8 +546,8 @@ fn parse_chaos(args: &Args) -> Result<u32, ArgError> {
 /// `--host-deadline-ms` (simulated time one host may consume),
 /// `--host-retries` (transient-failure retries per round) and
 /// `--host-backoff-ms` (base backoff, doubled per retry). Defaults are
-/// [`Budget::default`], generous enough that cooperative hosts never
-/// notice them.
+/// [`Budget::default`], whose deadline spares cooperative hosts except
+/// SYN-test hosts on a long gap sweep.
 fn parse_budget(args: &Args) -> Result<(u64, u32, u64), ArgError> {
     let d = Budget::default();
     let deadline_ms: u64 = args.get_or("host-deadline-ms", d.deadline.as_millis() as u64)?;

@@ -4,9 +4,10 @@
 //! program to generate and receive arbitrary IP packets without
 //! conflicting with the kernel's network stack").
 //!
-//! [`Prober`] owns the simulation and a [`Mailbox`](reorder_netsim::Mailbox) attachment point. The
-//! measurement tests drive it synchronously: craft a segment, transmit,
-//! advance simulated time, and collect matching replies.
+//! [`Prober`] owns the simulation and a mailbox attachment point
+//! ([`Simulator::add_mailbox`]). The measurement tests drive it
+//! synchronously: craft a segment, transmit, advance simulated time, and
+//! collect matching replies.
 
 use reorder_netsim::{MailboxQueue, NodeId, Port, RxPacket, SimTime, Simulator};
 use reorder_wire::{FlowKey, IpId, Ipv4Addr4, Packet, PacketBuilder, SeqNum, TcpFlags, TcpOption};
@@ -81,7 +82,7 @@ pub struct Prober {
 
 impl Prober {
     /// Wrap a built simulation. `node`/`queue` come from the scenario's
-    /// [`reorder_netsim::Mailbox`].
+    /// mailbox ([`Simulator::add_mailbox`]).
     pub fn new(sim: Simulator, node: NodeId, queue: MailboxQueue, local_addr: Ipv4Addr4) -> Self {
         Prober {
             sim,
@@ -374,7 +375,7 @@ impl Prober {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reorder_netsim::{LinkParams, Mailbox};
+    use reorder_netsim::LinkParams;
     use reorder_tcpstack::{HostPersonality, TcpHost, TcpHostConfig};
 
     const ME: Ipv4Addr4 = Ipv4Addr4::new(10, 0, 0, 1);
@@ -382,8 +383,7 @@ mod tests {
 
     fn prober() -> Prober {
         let mut sim = Simulator::new(1);
-        let (mb, q) = Mailbox::new();
-        let me = sim.add_node(Box::new(mb));
+        let (me, q) = sim.add_mailbox();
         let host = TcpHost::new(
             TcpHostConfig::web_server(SRV, HostPersonality::freebsd4()),
             sim.master_seed(),
@@ -459,6 +459,46 @@ mod tests {
             assert_eq!(a.pkt.tcp().unwrap().ack, conn.snd_nxt);
         }
         p.close(&mut conn, Duration::from_secs(1));
+    }
+
+    #[test]
+    fn recv_where_stops_the_clock_at_the_matched_arrival() {
+        // Deliveries to the prober's mailbox are arrivals, not events:
+        // recv_where must still return with the clock at the matched
+        // packet's arrival time, leaving a later arrival unreleased.
+        let mut p = prober();
+        let conn = p
+            .handshake(SRV, 80, 1460, 65535, Duration::from_secs(1))
+            .expect("handshake");
+        p.flush();
+        // Two out-of-order probes: two immediate dup ACKs, one
+        // serialization delay apart.
+        for off in [2u32, 4] {
+            let pkt = p
+                .tcp_pkt(&conn)
+                .seq(conn.snd_nxt + off)
+                .ack(conn.rcv_nxt)
+                .flags(TcpFlags::ACK)
+                .data(b"X".to_vec())
+                .build();
+            p.send(pkt);
+        }
+        let released = p.sim.sink_arrivals();
+        let flow = conn.flow;
+        let reply = |pkt: &Packet| pkt.flow() == Some(flow.reversed());
+        let first = p
+            .recv_where(reply, Duration::from_secs(1))
+            .expect("first dup ACK");
+        assert_eq!(p.now(), first.time);
+        assert_eq!(p.sim.sink_arrivals(), released + 1);
+        assert_eq!(p.buffered(), 0, "the second ACK is not released yet");
+        assert!(p.sim.next_event_time().is_some_and(|t| t > first.time));
+        let second = p
+            .recv_where(reply, Duration::from_secs(1))
+            .expect("second dup ACK");
+        assert!(second.time > first.time);
+        assert_eq!(p.now(), second.time);
+        assert_eq!(p.sim.sink_arrivals(), released + 2);
     }
 
     #[test]

@@ -12,9 +12,7 @@ use reorder_netsim::pipes::{
     FaultGate, LoadBalancer, MultipathRoute, RandomLoss, SplitMode, StripingLink, WirelessArq,
     DOWN, UP,
 };
-use reorder_netsim::{
-    rng as simrng, LinkParams, Mailbox, NodeId, Port, Simulator, Trace, TraceHandle,
-};
+use reorder_netsim::{rng as simrng, LinkParams, NodeId, Port, Simulator, Trace, TraceHandle};
 use reorder_tcpstack::{HostPersonality, TcpHost, TcpHostConfig};
 use reorder_wire::Ipv4Addr4;
 use std::time::Duration;
@@ -116,8 +114,7 @@ pub fn validation_rig_with(
     seed: u64,
 ) -> Scenario {
     let mut sim = Simulator::new(seed);
-    let (mb, queue) = Mailbox::new();
-    let me = sim.add_node(Box::new(mb));
+    let (me, queue) = sim.add_mailbox();
     let pipe = sim.add_node(Box::new(DummynetReorder::new(
         DummynetConfig {
             fwd_swap,
@@ -151,8 +148,7 @@ pub fn validation_rig_with(
 /// A validation rig with random loss instead of reordering.
 pub fn lossy_rig(fwd_loss: f64, rev_loss: f64, seed: u64) -> Scenario {
     let mut sim = Simulator::new(seed);
-    let (mb, queue) = Mailbox::new();
-    let me = sim.add_node(Box::new(mb));
+    let (me, queue) = sim.add_mailbox();
     let pipe = sim.add_node(Box::new(RandomLoss::new(fwd_loss, rev_loss, seed, "loss")));
     let host = TcpHost::new(
         TcpHostConfig::web_server(TARGET_ADDR, HostPersonality::freebsd4()),
@@ -185,8 +181,7 @@ pub fn load_balanced(
     seed: u64,
 ) -> Scenario {
     let mut sim = Simulator::new(seed);
-    let (mb, queue) = Mailbox::new();
-    let me = sim.add_node(Box::new(mb));
+    let (me, queue) = sim.add_mailbox();
     let pipe = sim.add_node(Box::new(DummynetReorder::new(
         DummynetConfig {
             fwd_swap,
@@ -239,8 +234,7 @@ pub fn striped_path_with(
     seed: u64,
 ) -> Scenario {
     let mut sim = Simulator::new(seed);
-    let (mb, queue) = Mailbox::new();
-    let me = sim.add_node(Box::new(mb));
+    let (me, queue) = sim.add_mailbox();
     let stripe = sim.add_node(Box::new(StripingLink::new(
         links,
         bits_per_sec,
@@ -273,8 +267,7 @@ pub fn striped_path_with(
 /// under identical measurement procedures.
 pub fn pipe_path(pipe: Box<dyn reorder_netsim::Device>, seed: u64) -> Scenario {
     let mut sim = Simulator::new(seed);
-    let (mb, queue) = Mailbox::new();
-    let me = sim.add_node(Box::new(mb));
+    let (me, queue) = sim.add_mailbox();
     let node = sim.add_node(pipe);
     let host = TcpHost::new(
         TcpHostConfig::web_server(TARGET_ADDR, HostPersonality::freebsd4()),
@@ -522,6 +515,7 @@ pub struct ScenarioPool {
     events: u64,
     overflow: u64,
     cut_through: u64,
+    sink_arrivals: u64,
     recycled: u64,
     fresh: u64,
 }
@@ -565,6 +559,14 @@ impl ScenarioPool {
         self.cut_through
     }
 
+    /// Mailbox arrivals absorbed from recycled scenarios so far
+    /// ([`Simulator::sink_arrivals`], banked by
+    /// [`ScenarioPool::recycle`] alongside the event count): the
+    /// deliveries to the prober that no longer show up as events.
+    pub fn sink_arrivals_absorbed(&self) -> u64 {
+        self.sink_arrivals
+    }
+
     fn checkout(&mut self, seed: u64) -> Simulator {
         match self.sim.take() {
             Some(mut sim) => {
@@ -587,6 +589,7 @@ impl ScenarioPool {
         self.events += sim.events_processed();
         self.overflow += sim.overflow_events();
         self.cut_through += sim.cut_through_hops();
+        self.sink_arrivals += sim.sink_arrivals();
         self.sim = Some(sim);
     }
 
@@ -611,8 +614,7 @@ pub fn internet_host(spec: &HostSpec, seed: u64) -> Scenario {
 /// ground-truth capture taps; headless pooled builds skip them.
 fn build_internet_host(mut sim: Simulator, spec: &HostSpec, taps: bool) -> Scenario {
     let seed = sim.master_seed();
-    let (mb, queue) = Mailbox::new();
-    let me = sim.add_node(Box::new(mb));
+    let (me, queue) = sim.add_mailbox();
     let loss = sim.add_node(Box::new(RandomLoss::new(
         spec.loss, spec.loss, seed, "loss",
     )));

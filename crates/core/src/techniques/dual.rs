@@ -23,8 +23,16 @@ use crate::sample::{
     MeasurementRun, Order, PacketMatcher, SampleForensics, SampleOutcome, SampleRecord, TestConfig,
 };
 use crate::techniques::TestKind;
-use reorder_wire::{IpId, TcpFlags};
+use reorder_wire::{Bytes, IpId, TcpFlags};
 use std::time::Duration;
+
+thread_local! {
+    /// The one-byte payloads of the validation and sample probes, built
+    /// once per thread and shared, so a probe bumps a refcount instead
+    /// of allocating.
+    static VALIDATE_DATA: Bytes = Bytes::from(&b"V"[..]);
+    static SAMPLE_DATA: Bytes = Bytes::from(&b"D"[..]);
+}
 
 /// Verdict of the pre-measurement IPID validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +138,7 @@ fn probe_once(
             .seq(conn.snd_nxt + 1 + offset)
             .ack(conn.rcv_nxt)
             .flags(TcpFlags::ACK)
-            .data(b"V".to_vec())
+            .data(VALIDATE_DATA.with(Bytes::clone))
             .build();
         p.send(pkt);
         let reply = p.recv_where(
@@ -243,7 +251,7 @@ impl DualConnectionTest {
             .seq(a.snd_nxt + 1 + off)
             .ack(a.rcv_nxt)
             .flags(TcpFlags::ACK)
-            .data(b"D".to_vec())
+            .data(SAMPLE_DATA.with(Bytes::clone))
             .build();
         p.send(pkt_a);
         p.run_for(self.cfg.gap);
@@ -253,7 +261,7 @@ impl DualConnectionTest {
             .seq(b.snd_nxt + 1 + off)
             .ack(b.rcv_nxt)
             .flags(TcpFlags::ACK)
-            .data(b"D".to_vec())
+            .data(SAMPLE_DATA.with(Bytes::clone))
             .build();
         p.send(pkt_b);
 

@@ -22,8 +22,17 @@ use crate::sample::{
     MeasurementRun, Order, PacketMatcher, SampleForensics, SampleOutcome, SampleRecord, TestConfig,
 };
 use crate::techniques::TestKind;
-use reorder_wire::{SeqNum, TcpFlags};
+use reorder_wire::{Bytes, SeqNum, TcpFlags};
 use std::time::Duration;
+
+thread_local! {
+    /// The hole, resync and sample payloads, built once per thread and
+    /// shared, so a probe bumps a refcount instead of allocating.
+    static HOLE_DATA: Bytes = Bytes::from(&b"H"[..]);
+    static RESYNC_DATA: Bytes = Bytes::from(&b"RSY"[..]);
+    static LOW_DATA: Bytes = Bytes::from(&b"A"[..]);
+    static HIGH_DATA: Bytes = Bytes::from(&b"B"[..]);
+}
 
 /// The Single Connection Test.
 #[derive(Debug, Clone)]
@@ -78,7 +87,7 @@ impl SingleConnectionTest {
                 .seq(base + 1)
                 .ack(conn.rcv_nxt)
                 .flags(TcpFlags::ACK)
-                .data(b"H".to_vec())
+                .data(HOLE_DATA.with(Bytes::clone))
                 .build();
             p.send(pkt);
             if self.await_ack(p, conn, base) {
@@ -98,7 +107,7 @@ impl SingleConnectionTest {
                 .seq(base)
                 .ack(conn.rcv_nxt)
                 .flags(TcpFlags::ACK)
-                .data(b"RSY".to_vec())
+                .data(RESYNC_DATA.with(Bytes::clone))
                 .build();
             p.send(pkt);
             if self.await_ack(p, conn, base + 3) {
@@ -134,7 +143,7 @@ impl SingleConnectionTest {
                 .seq(base)
                 .ack(conn.rcv_nxt)
                 .flags(TcpFlags::ACK)
-                .data(b"A".to_vec())
+                .data(LOW_DATA.with(Bytes::clone))
                 .build()
         };
         let mk_high = |p: &mut Prober, conn: &ClientConn| {
@@ -143,7 +152,7 @@ impl SingleConnectionTest {
                 .seq(base + 2)
                 .ack(conn.rcv_nxt)
                 .flags(TcpFlags::ACK)
-                .data(b"B".to_vec())
+                .data(HIGH_DATA.with(Bytes::clone))
                 .build()
         };
         // Send order: (low, high) normally; (high, low) reversed. The

@@ -33,6 +33,7 @@
 use crate::time::SimTime;
 use std::cell::Cell;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// log2 of the bucket width in nanoseconds.
@@ -43,15 +44,16 @@ const NBUCKETS: usize = 256;
 const NWORDS: usize = NBUCKETS / 64;
 
 /// One scheduled item: the key `(time, pushed, seq)` plus the payload.
-struct Entry<T> {
-    time: SimTime,
-    pushed: SimTime,
-    seq: u64,
-    item: T,
+/// Mailbox arrivals (`crate::mailbox`) are ordered by the same key.
+pub(crate) struct Entry<T> {
+    pub time: SimTime,
+    pub pushed: SimTime,
+    pub seq: u64,
+    pub item: T,
 }
 
 impl<T> Entry<T> {
-    fn key(&self) -> (SimTime, SimTime, u64) {
+    pub fn key(&self) -> (SimTime, SimTime, u64) {
         (self.time, self.pushed, self.seq)
     }
 }
@@ -219,21 +221,29 @@ impl<T> CalendarQueue<T> {
         if let Some(k) = self.min_cache.get() {
             return Some(k);
         }
-        let wheel = self.first_bucket().map(|b| {
+        let wheel = self.first_bucket().and_then(|b| {
             let bucket = &self.buckets[slot_of(b)];
             if self.sorted_bucket == Some(b) {
-                bucket.last().expect("non-empty").key()
+                bucket.last().map(Entry::key)
             } else {
-                bucket.iter().map(Entry::key).min().expect("non-empty")
+                bucket.iter().map(Entry::key).min()
             }
         });
-        let over = self.overflow.peek().map(|Reverse(e)| e.key());
-        let min = match (wheel, over) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (w, o) => w.or(o),
-        };
+        let min = self.min_with_overflow(wheel);
         self.min_cache.set(min);
         min
+    }
+
+    /// The smaller of `wheel` and the overflow heap's earliest key.
+    fn min_with_overflow(
+        &self,
+        wheel: Option<(SimTime, SimTime, u64)>,
+    ) -> Option<(SimTime, SimTime, u64)> {
+        let over = self.overflow.peek().map(|Reverse(e)| e.key());
+        match (wheel, over) {
+            (Some(w), Some(o)) => Some(w.min(o)),
+            (w, o) => w.or(o),
+        }
     }
 
     /// Remove and return the earliest entry as `(time, seq, item)`.
@@ -253,7 +263,7 @@ impl<T> CalendarQueue<T> {
                 self.buckets[s].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
                 self.sorted_bucket = Some(self.cur);
             }
-            Some(self.buckets[s].last().expect("advance found entries").key())
+            self.buckets[s].last().map(Entry::key)
         } else {
             None
         };
@@ -262,28 +272,25 @@ impl<T> CalendarQueue<T> {
             (None, Some(_)) => true,
             _ => false,
         };
-        self.len -= 1;
-        self.min_cache.set(None);
-        if from_overflow {
-            let Reverse(e) = self.overflow.pop().expect("peeked");
-            return Some((e.time, e.seq, e.item));
-        }
-        let s = slot_of(self.cur);
-        let e = self.buckets[s].pop().expect("checked");
-        self.wheel_len -= 1;
-        if self.buckets[s].is_empty() {
-            self.occupancy[s / 64] &= !(1 << (s % 64));
+        let e = if from_overflow {
+            let Reverse(e) = self.overflow.pop()?;
+            self.min_cache.set(None);
+            e
         } else {
-            // The bucket stays sorted, so the next minimum is known.
-            self.min_cache
-                .set(Some(self.buckets[s].last().expect("non-empty").key().min(
-                    self.overflow.peek().map(|Reverse(o)| o.key()).unwrap_or((
-                        SimTime::MAX,
-                        SimTime::MAX,
-                        u64::MAX,
-                    )),
-                )));
-        }
+            let s = slot_of(self.cur);
+            let e = self.buckets[s].pop()?;
+            self.wheel_len -= 1;
+            match self.buckets[s].last().map(Entry::key) {
+                // The bucket stays sorted, so the next minimum is known.
+                Some(next) => self.min_cache.set(self.min_with_overflow(Some(next))),
+                None => {
+                    self.occupancy[s / 64] &= !(1 << (s % 64));
+                    self.min_cache.set(None);
+                }
+            }
+            e
+        };
+        self.len -= 1;
         Some((e.time, e.seq, e.item))
     }
 
@@ -318,8 +325,7 @@ impl<T> CalendarQueue<T> {
 
     /// Move the cursor to the first non-empty bucket (wheel_len > 0).
     fn advance_cursor(&mut self) {
-        let next = self.first_bucket().expect("wheel_len > 0");
-        if next != self.cur {
+        if let Some(next) = self.first_bucket() {
             self.cur = next;
         }
     }
@@ -333,11 +339,11 @@ impl<T> CalendarQueue<T> {
         self.cur = bucket_of(first.time);
         self.sorted_bucket = None;
         let window_end = self.cur + NBUCKETS as u64;
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if bucket_of(e.time) >= window_end {
+        while let Some(top) = self.overflow.peek_mut() {
+            if bucket_of(top.0.time) >= window_end {
                 break;
             }
-            let Reverse(e) = self.overflow.pop().expect("peeked");
+            let Reverse(e) = PeekMut::pop(top);
             let s = slot_of(bucket_of(e.time));
             self.buckets[s].push(e);
             self.occupancy[s / 64] |= 1 << (s % 64);

@@ -43,10 +43,32 @@
 //! exactly what they did before. Chains are cut after
 //! `MAX_CUT_THROUGH_HOPS` nodes (a ring of forwarders would otherwise
 //! never terminate); the node at the bound takes an ordinary event.
+//!
+//! # Sink arrivals
+//!
+//! A chain that ends at a mailbox ([`Simulator::add_mailbox`]) needs no
+//! event at all: the mailbox only queues what it receives. The walk
+//! files an arrival under the `(time, pushed, seq)` key the delivery
+//! event would have had, drawing `seq` from the event counter so every
+//! other event keeps its key, and [`Simulator::run_until`] releases it
+//! into the mailbox's queue and rx taps when it reaches that key. A
+//! tapped mailbox is fed the same way, so tapped and headless builds
+//! dispatch the same events. [`Simulator::next_event_time`] counts
+//! pending arrivals, so a caller stepping one event at a time still
+//! stops at each arrival's time.
+//!
+//! # Packets in flight
+//!
+//! Each transmitted packet is written once into a slab; calendar
+//! entries, device actions and arrivals carry its `u32` handle, the
+//! cut-through walk reads it in place, and dispatch moves it out once
+//! into [`Device::on_packet`].
 
 use crate::calendar::CalendarQueue;
 use crate::capture::{Dir, TraceHandle, TraceRecord};
 use crate::link::{LinkParams, LinkState, Offer};
+use crate::mailbox::{Arrival, Arrivals, MailboxQueue, RxPacket};
+use crate::slab::PacketSlab;
 use crate::time::SimTime;
 use reorder_wire::Packet;
 use std::cell::RefCell;
@@ -117,8 +139,15 @@ const MAX_CUT_THROUGH_HOPS: u64 = 64;
 /// What a device may do while handling an event.
 #[derive(Debug)]
 enum Action {
-    Transmit { port: Port, pkt: Packet },
-    SetTimer { delay: Duration, token: u64 },
+    /// Transmit the slab packet `pkt` out of `port`.
+    Transmit {
+        port: Port,
+        pkt: u32,
+    },
+    SetTimer {
+        delay: Duration,
+        token: u64,
+    },
 }
 
 /// Execution context handed to a device during event handling.
@@ -126,6 +155,7 @@ pub struct Ctx<'a> {
     now: SimTime,
     node: NodeId,
     actions: &'a mut Vec<Action>,
+    packets: &'a mut PacketSlab,
 }
 
 impl Ctx<'_> {
@@ -143,6 +173,7 @@ impl Ctx<'_> {
     /// propagation delays of the attached link apply; transmissions
     /// issued within one event handler keep their issue order.
     pub fn transmit(&mut self, port: Port, pkt: Packet) {
+        let pkt = self.packets.insert(pkt);
         self.actions.push(Action::Transmit { port, pkt });
     }
 
@@ -155,10 +186,11 @@ impl Ctx<'_> {
 
 #[derive(Debug)]
 enum EventKind {
+    /// Deliver the slab packet `pkt` to `node`'s `port`.
     Deliver {
         node: NodeId,
         port: Port,
-        pkt: Packet,
+        pkt: u32,
     },
     Timer {
         node: NodeId,
@@ -169,25 +201,34 @@ enum EventKind {
 /// The simulator: owns every device, link and pending event.
 ///
 /// Hot-path layout: events live in a calendar queue (the private
-/// `calendar` module); links and taps are dense per-node tables
-/// indexed by `NodeId`/`Port`, so the per-event path does no hashing.
-/// [`Simulator::reset`] recycles every allocation for the next run —
-/// the pooling fast path campaign workers ride.
+/// `calendar` module) and carry handles into a packet slab; links and
+/// taps are dense per-node tables indexed by `NodeId`/`Port`, so the
+/// per-event path does no hashing. [`Simulator::reset`] recycles every
+/// allocation for the next run — the pooling fast path campaign
+/// workers ride.
 pub struct Simulator {
     now: SimTime,
     seq: u64,
     master_seed: u64,
+    /// `None` for a mailbox, which has no device.
     nodes: Vec<Option<Box<dyn Device>>>,
     names: Vec<String>,
     /// `links[node][port]` — dense, grown by `connect_asym`.
     links: Vec<Vec<Option<LinkEndpoint>>>,
     queue: CalendarQueue<EventKind>,
+    /// Every packet in flight (module docs).
+    packets: PacketSlab,
+    /// `sinks[node]` — a mailbox's receive queue, `None` for a device.
+    sinks: Vec<Option<MailboxQueue>>,
+    /// Mailbox deliveries waiting for the clock (module docs).
+    arrivals: Arrivals,
     /// `rx_taps[node]` / `tx_taps[node]` — dense, grown by `add_node`.
     rx_taps: Vec<Vec<TraceHandle>>,
     tx_taps: Vec<Vec<TraceHandle>>,
     scratch: Vec<Action>,
     events: u64,
     cut_through_hops: u64,
+    sink_arrivals: u64,
     /// Count of packets dropped by full link queues (all links).
     pub link_drops: u64,
 }
@@ -209,18 +250,24 @@ impl Simulator {
             names: Vec::new(),
             links: Vec::new(),
             queue: CalendarQueue::new(),
+            packets: PacketSlab::default(),
+            sinks: Vec::new(),
+            arrivals: Arrivals::default(),
             rx_taps: Vec::new(),
             tx_taps: Vec::new(),
             scratch: Vec::new(),
             events: 0,
             cut_through_hops: 0,
+            sink_arrivals: 0,
             link_drops: 0,
         }
     }
 
     /// Return the simulator to the just-constructed state under a new
     /// master seed, retaining every allocation (event-queue buckets,
-    /// node/link/tap tables, scratch). A reset simulator is
+    /// packet slab, arrival queue, node/link/tap tables, scratch). Packets
+    /// still in flight and arrivals still pending are dropped. A reset
+    /// simulator is
     /// indistinguishable from `Simulator::new(seed)` to everything
     /// built on it — the pooled-construction determinism tests assert
     /// byte-identical campaign output — but skips the allocator.
@@ -232,10 +279,14 @@ impl Simulator {
         self.names.clear();
         self.links.clear();
         self.queue.clear();
+        self.packets.clear();
+        self.sinks.clear();
+        self.arrivals.clear();
         self.rx_taps.clear();
         self.tx_taps.clear();
         self.events = 0;
         self.cut_through_hops = 0;
+        self.sink_arrivals = 0;
         self.link_drops = 0;
     }
 
@@ -253,6 +304,15 @@ impl Simulator {
     /// per-packet work the event count no longer shows.
     pub fn cut_through_hops(&self) -> u64 {
         self.cut_through_hops
+    }
+
+    /// Mailbox arrivals released since construction (or the last
+    /// [`Simulator::reset`]): deliveries that would each have been an
+    /// event before mailboxes became sinks (module docs). Events,
+    /// cut-through hops and sink arrivals together account for every
+    /// delivery.
+    pub fn sink_arrivals(&self) -> u64 {
+        self.sink_arrivals
     }
 
     /// Events currently queued (diagnostics).
@@ -282,9 +342,30 @@ impl Simulator {
 
     /// Add a device; returns its id.
     pub fn add_node(&mut self, device: Box<dyn Device>) -> NodeId {
+        let name = device.name().to_string();
+        self.push_node(name, Some(device), None)
+    }
+
+    /// Add a mailbox: a node that queues every packet delivered to it
+    /// for code outside the event loop (the prober), returned with the
+    /// queue that code reads. Deliveries to it are arrivals, not
+    /// events (module docs); timers set on it do nothing.
+    pub fn add_mailbox(&mut self) -> (NodeId, MailboxQueue) {
+        let queue = MailboxQueue::default();
+        let id = self.push_node("mailbox".to_string(), None, Some(queue.clone()));
+        (id, queue)
+    }
+
+    fn push_node(
+        &mut self,
+        name: String,
+        device: Option<Box<dyn Device>>,
+        sink: Option<MailboxQueue>,
+    ) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.names.push(device.name().to_string());
-        self.nodes.push(Some(device));
+        self.names.push(name);
+        self.nodes.push(device);
+        self.sinks.push(sink);
         self.links.push(Vec::new());
         self.rx_taps.push(Vec::new());
         self.tx_taps.push(Vec::new());
@@ -353,7 +434,8 @@ impl Simulator {
     /// the current time. Used by external agents (the prober) that drive
     /// the simulation from outside the event loop.
     pub fn transmit_from(&mut self, node: NodeId, port: Port, pkt: Packet) {
-        self.record_tx(node, port, &pkt);
+        record(&self.tx_taps[node.0], self.now, node, port, Dir::Tx, &pkt);
+        let pkt = self.packets.insert(pkt);
         self.do_transmit(node, port, pkt);
     }
 
@@ -364,19 +446,33 @@ impl Simulator {
         self.push(time, EventKind::Timer { node, token });
     }
 
-    /// Time of the next pending event, if any.
+    /// Time of the next pending event or mailbox arrival, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_key().map(|(t, ..)| t)
+        let event = self.queue.peek_key().map(|(t, ..)| t);
+        let arrival = self.arrivals.peek_key().map(|(t, ..)| t);
+        event.into_iter().chain(arrival).min()
     }
 
     /// Run until the queue is empty or the next event lies beyond
-    /// `horizon`; the clock then advances to `horizon` (so repeated calls
-    /// make steady progress even with no traffic).
+    /// `horizon`, releasing mailbox arrivals due by then in key order
+    /// among the events; the clock then advances to `horizon` (so
+    /// repeated calls make steady progress even with no traffic).
     pub fn run_until(&mut self, horizon: SimTime) {
-        while let Some((time, kind)) = self.pop_due(horizon) {
-            debug_assert!(time >= self.now, "time went backwards");
-            self.now = time;
-            self.dispatch(kind);
+        loop {
+            let event = self.queue.peek_key().filter(|k| k.0 <= horizon);
+            let arrival = self.arrivals.peek_key().filter(|k| k.0 <= horizon);
+            match (event, arrival) {
+                (_, Some(a)) if event.is_none_or(|e| a < e) => self.release_arrival(),
+                (Some(_), _) => {
+                    let Some((time, _, kind)) = self.queue.pop() else {
+                        break;
+                    };
+                    debug_assert!(time >= self.now, "time went backwards");
+                    self.now = time;
+                    self.dispatch(kind);
+                }
+                _ => break,
+            }
         }
         if horizon > self.now && horizon != SimTime::MAX {
             self.now = horizon;
@@ -399,11 +495,21 @@ impl Simulator {
         }
     }
 
-    /// Pop the earliest event if it is due by `horizon`.
-    fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, EventKind)> {
-        match self.queue.peek_key() {
-            Some((t, ..)) if t <= horizon => self.queue.pop().map(|(t, _, kind)| (t, kind)),
-            _ => None,
+    /// Move the earliest pending arrival into its mailbox's queue, at
+    /// the time its delivery event would have fired.
+    fn release_arrival(&mut self) {
+        let Some((time, Arrival { node, port, pkt })) = self.arrivals.pop() else {
+            return;
+        };
+        let Some(pkt) = self.packets.take(pkt) else {
+            return;
+        };
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        self.sink_arrivals += 1;
+        record(&self.rx_taps[node.0], time, node, port, Dir::Rx, &pkt);
+        if let Some(queue) = &self.sinks[node.0] {
+            queue.borrow_mut().push_back(RxPacket { time, port, pkt });
         }
     }
 
@@ -418,40 +524,26 @@ impl Simulator {
     /// hop would have pushed it as an event, and so keeps the place
     /// among same-time events that it has on the event path.
     fn push_from(&mut self, pushed: SimTime, time: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.next_seq();
         self.queue.push(self.now, time, pushed, seq, kind);
     }
 
-    fn record_rx(&self, node: NodeId, port: Port, pkt: &Packet) {
-        for t in &self.rx_taps[node.0] {
-            t.borrow_mut().push(TraceRecord {
-                time: self.now,
-                node,
-                port,
-                dir: Dir::Rx,
-                pkt: pkt.clone(),
-            });
-        }
+    /// The next tiebreak sequence number, shared by events and arrivals.
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
     }
 
-    fn record_tx(&self, node: NodeId, port: Port, pkt: &Packet) {
-        for t in &self.tx_taps[node.0] {
-            t.borrow_mut().push(TraceRecord {
-                time: self.now,
-                node,
-                port,
-                dir: Dir::Tx,
-                pkt: pkt.clone(),
-            });
-        }
-    }
-
-    /// Offer `pkt` to the link out of `node`'s `port`, then walk the
-    /// chain of untapped cut-through nodes behind it (module docs):
-    /// each verdict is applied at the packet's arrival time there, and
-    /// one delivery event is pushed at the first node that needs one.
-    fn do_transmit(&mut self, node: NodeId, port: Port, pkt: Packet) {
+    /// Offer the slab packet `pkt` to the link out of `node`'s `port`,
+    /// then walk the chain of untapped cut-through nodes behind it
+    /// (module docs): each verdict is applied at the packet's arrival
+    /// time there, and the walk ends in one delivery event at the first
+    /// node that needs one, or in an arrival at a mailbox.
+    fn do_transmit(&mut self, node: NodeId, port: Port, pkt: u32) {
+        let Some(len) = self.packets.get(pkt).map(Packet::wire_len) else {
+            return;
+        };
         let (mut node, mut port, mut now) = (node, port, self.now);
         let mut hops = 0;
         loop {
@@ -461,21 +553,33 @@ impl Simulator {
                     self.names[node.0]
                 );
             };
-            let at = match end.state.offer(now, pkt.wire_len()) {
+            let at = match end.state.offer(now, len) {
                 Offer::Arrives(at) => at,
                 Offer::Dropped => {
                     self.link_drops += 1;
+                    self.packets.take(pkt);
                     break;
                 }
             };
             let (peer, peer_port) = end.peer;
+            if self.sinks[peer.0].is_some() {
+                let seq = self.next_seq();
+                let arrival = Arrival {
+                    node: peer,
+                    port: peer_port,
+                    pkt,
+                };
+                self.arrivals.push(at, now, seq, arrival);
+                break;
+            }
             let verdict = if hops < MAX_CUT_THROUGH_HOPS
                 && self.rx_taps[peer.0].is_empty()
                 && self.tx_taps[peer.0].is_empty()
             {
-                self.nodes[peer.0]
-                    .as_mut()
-                    .and_then(|dev| dev.cut_through(peer_port, &pkt))
+                match (self.nodes[peer.0].as_mut(), self.packets.get(pkt)) {
+                    (Some(dev), Some(p)) => dev.cut_through(peer_port, p),
+                    _ => None,
+                }
             } else {
                 None
             };
@@ -486,6 +590,7 @@ impl Simulator {
                 }
                 Some(CutThrough::Drop) => {
                     hops += 1;
+                    self.packets.take(pkt);
                     break;
                 }
                 None => {
@@ -510,29 +615,45 @@ impl Simulator {
         let node = match &kind {
             EventKind::Deliver { node, .. } | EventKind::Timer { node, .. } => *node,
         };
-        let mut dev = self.nodes[node.0].take().unwrap_or_else(|| {
+        let Some(mut dev) = self.nodes[node.0].take() else {
+            // Deliveries to a mailbox are arrivals, never events, so
+            // only a timer can land here, and it has nothing to wake.
+            if self.sinks[node.0].is_some() {
+                return;
+            }
             panic!("re-entrant dispatch on node {}", self.names[node.0]);
-        });
+        };
         let mut actions = std::mem::take(&mut self.scratch);
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                node,
-                actions: &mut actions,
-            };
-            match kind {
-                EventKind::Deliver { port, pkt, .. } => {
-                    self.record_rx(node, port, &pkt);
+        match kind {
+            EventKind::Deliver { port, pkt, .. } => {
+                if let Some(pkt) = self.packets.take(pkt) {
+                    record(&self.rx_taps[node.0], self.now, node, port, Dir::Rx, &pkt);
+                    let mut ctx = Ctx {
+                        now: self.now,
+                        node,
+                        actions: &mut actions,
+                        packets: &mut self.packets,
+                    };
                     dev.on_packet(&mut ctx, port, pkt);
                 }
-                EventKind::Timer { token, .. } => dev.on_timer(&mut ctx, token),
+            }
+            EventKind::Timer { token, .. } => {
+                let mut ctx = Ctx {
+                    now: self.now,
+                    node,
+                    actions: &mut actions,
+                    packets: &mut self.packets,
+                };
+                dev.on_timer(&mut ctx, token);
             }
         }
         self.nodes[node.0] = Some(dev);
         for act in actions.drain(..) {
             match act {
                 Action::Transmit { port, pkt } => {
-                    self.record_tx(node, port, &pkt);
+                    if let Some(p) = self.packets.get(pkt) {
+                        record(&self.tx_taps[node.0], self.now, node, port, Dir::Tx, p);
+                    }
                     self.do_transmit(node, port, pkt);
                 }
                 Action::SetTimer { delay, token } => {
@@ -542,6 +663,19 @@ impl Simulator {
             }
         }
         self.scratch = actions;
+    }
+}
+
+/// Append one record of `pkt` to every trace in `taps`.
+fn record(taps: &[TraceHandle], time: SimTime, node: NodeId, port: Port, dir: Dir, pkt: &Packet) {
+    for t in taps {
+        t.borrow_mut().push(TraceRecord {
+            time,
+            node,
+            port,
+            dir,
+            pkt: pkt.clone(),
+        });
     }
 }
 
@@ -572,6 +706,16 @@ mod tests {
         }
         fn name(&self) -> &str {
             "sink"
+        }
+    }
+
+    /// Collects deliveries with their port.
+    struct PortSink(Rc<RefCell<Vec<(SimTime, usize, u16)>>>);
+    impl Device for PortSink {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: Port, pkt: Packet) {
+            self.0
+                .borrow_mut()
+                .push((ctx.now(), port.0, pkt.ip.ident.raw()));
         }
     }
 
@@ -685,45 +829,125 @@ mod tests {
         // The pooling contract: building the same scenario on a reset
         // simulator yields the exact event stream of a fresh one.
         fn drive(sim: &mut Simulator) -> Vec<(SimTime, u16)> {
-            let rx = Rc::new(RefCell::new(Vec::new()));
-            let sink = sim.add_node(Box::new(Sink(rx.clone())));
+            let (me, rx) = sim.add_mailbox();
             let echo = sim.add_node(Box::new(Echo));
-            sim.connect(sink, Port(0), echo, Port(0), LinkParams::wan());
+            sim.connect(me, Port(0), echo, Port(0), LinkParams::wan());
             let h = sim.tap_rx(echo);
             for i in 0..30 {
-                sim.transmit_from(sink, Port(0), probe(i));
+                sim.transmit_from(me, Port(0), probe(i));
             }
             sim.run_until_idle(SimTime::from_secs(5));
             assert_eq!(h.borrow().len(), 30);
-            let trace = rx
-                .borrow()
+            crate::mailbox::drain(&rx)
                 .iter()
-                .map(|(t, p)| (*t, p.ip.ident.raw()))
-                .collect();
-            trace
+                .map(|r| (r.time, r.pkt.ip.ident.raw()))
+                .collect()
         }
         let mut fresh = Simulator::new(123);
         let fresh_trace = drive(&mut fresh);
-        let fresh_events = fresh.events_processed();
+        let fresh_counts = (fresh.events_processed(), fresh.sink_arrivals());
+        assert_eq!(fresh_counts, (30, 30));
 
-        // Dirty a simulator with an unrelated run (leftover events
-        // still queued), then reset and rebuild.
+        // Dirty a simulator with an unrelated run, stopped with packets
+        // still in the slab, events still queued and echoes pending at
+        // its mailbox, then reset and rebuild.
         let mut pooled = Simulator::new(7);
         {
-            let rx = Rc::new(RefCell::new(Vec::new()));
-            let sink = pooled.add_node(Box::new(Sink(rx)));
+            let (me, _rx) = pooled.add_mailbox();
             let echo = pooled.add_node(Box::new(Echo));
-            pooled.connect(sink, Port(0), echo, Port(0), LinkParams::lan());
-            pooled.transmit_from(sink, Port(0), probe(9));
-            pooled.run_for(Duration::from_micros(10)); // leave events pending
+            pooled.connect(me, Port(0), echo, Port(0), LinkParams::lan());
+            for i in 0..5 {
+                pooled.transmit_from(me, Port(0), probe(i));
+            }
+            let first = pooled.next_event_time().expect("probes in flight");
+            pooled.run_until(first); // the echo answers the first probe
+            assert!(pooled.pending_events() > 0);
+            assert!(pooled.arrivals.len() > 0, "an echo is pending");
+            assert!(pooled.packets.len() > pooled.arrivals.len());
         }
         pooled.reset(123);
         assert_eq!(pooled.now(), SimTime::ZERO);
         assert_eq!(pooled.events_processed(), 0);
+        assert_eq!(pooled.sink_arrivals(), 0);
+        assert_eq!(pooled.next_event_time(), None);
+        assert_eq!((pooled.packets.len(), pooled.arrivals.len()), (0, 0));
         assert_eq!(pooled.master_seed(), 123);
         let pooled_trace = drive(&mut pooled);
         assert_eq!(pooled_trace, fresh_trace);
-        assert_eq!(pooled.events_processed(), fresh_events);
+        assert_eq!(
+            (pooled.events_processed(), pooled.sink_arrivals()),
+            fresh_counts
+        );
+        assert_eq!(pooled.packets.len(), 0, "every packet left the slab");
+    }
+
+    #[test]
+    fn mailbox_ties_release_in_event_order() {
+        // Three packets reach one two-port end at the same instant: a
+        // direct one transmitted last, one crossing a forwarder (pushed
+        // later at its last hop) and a second direct one on the other
+        // port. A mailbox must release them in the order a device
+        // receives them as events: by push time, then push order.
+        fn run(mailbox: bool) -> (Vec<(SimTime, usize, u16)>, u64, u64) {
+            let mut sim = Simulator::new(0);
+            let rx = Rc::new(RefCell::new(Vec::new()));
+            let (end, queue) = if mailbox {
+                let (node, queue) = sim.add_mailbox();
+                (node, Some(queue))
+            } else {
+                (sim.add_node(Box::new(PortSink(rx.clone()))), None)
+            };
+            let src = sim.add_node(Box::new(Echo));
+            let fwd = sim.add_node(Box::new(crate::pipes::Forwarder::new()));
+            // 8 Mbit/s: a 40-byte probe serializes in 40 µs.
+            let link = |us| LinkParams {
+                bits_per_sec: 8_000_000,
+                propagation: Duration::from_micros(us),
+                queue_limit: None,
+            };
+            sim.connect(src, Port(0), fwd, Port(0), link(100));
+            sim.connect(fwd, Port(1), end, Port(0), link(60));
+            sim.connect(src, Port(1), end, Port(1), link(200));
+            let other = sim.add_node(Box::new(Echo));
+            sim.connect(other, Port(0), end, Port(2), link(200));
+            // Via the forwarder: pushed at 140 µs, arrives at 240 µs.
+            sim.transmit_from(src, Port(0), probe(1));
+            // Direct: pushed at 0, arrives at 240 µs.
+            sim.transmit_from(src, Port(1), probe(2));
+            sim.transmit_from(other, Port(0), probe(3));
+            let got = match queue {
+                Some(queue) => {
+                    let mut got = Vec::new();
+                    while let Some(t) = sim.next_event_time() {
+                        sim.run_until(t);
+                        let released = crate::mailbox::drain(&queue);
+                        got.extend(
+                            released
+                                .iter()
+                                .map(|r| (r.time, r.port.0, r.pkt.ip.ident.raw())),
+                        );
+                    }
+                    got
+                }
+                None => {
+                    sim.run_until_idle(SimTime::from_secs(1));
+                    rx.take()
+                }
+            };
+            (got, sim.events_processed(), sim.sink_arrivals())
+        }
+        let (events, event_count, _) = run(false);
+        assert_eq!(
+            events,
+            vec![
+                (SimTime::from_micros(240), 1, 2),
+                (SimTime::from_micros(240), 2, 3),
+                (SimTime::from_micros(240), 0, 1),
+            ]
+        );
+        let (arrivals, arrival_events, sink_arrivals) = run(true);
+        assert_eq!(arrivals, events);
+        assert_eq!((event_count, arrival_events, sink_arrivals), (3, 0, 3));
     }
 
     #[test]

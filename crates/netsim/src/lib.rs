@@ -20,9 +20,10 @@
 //!   token-bucket policer ([`pipes`]),
 //! * capture taps providing the ground-truth traces of §IV-A
 //!   ([`capture`]),
-//! * a [`Mailbox`] endpoint that lets measurement code outside the event
-//!   loop inject and collect raw packets, playing the role of the
-//!   paper's packet-filter-based user-level probing (sting).
+//! * a mailbox endpoint ([`Simulator::add_mailbox`]) that lets
+//!   measurement code outside the event loop inject and collect raw
+//!   packets, playing the role of the paper's packet-filter-based
+//!   user-level probing (sting).
 //!
 //! Everything stochastic draws from labeled RNG streams derived from one
 //! master seed ([`rng`]), so every experiment is exactly reproducible.
@@ -38,10 +39,11 @@ pub mod mailbox;
 pub mod pcap;
 pub mod pipes;
 pub mod rng;
+mod slab;
 pub mod time;
 
 pub use capture::{Dir, Trace, TraceHandle, TraceRecord};
 pub use engine::{Ctx, CutThrough, Device, NodeId, Port, Simulator};
 pub use link::{LinkParams, LinkState, Offer};
-pub use mailbox::{drain, Mailbox, MailboxQueue, RxPacket};
+pub use mailbox::{drain, MailboxQueue, RxPacket};
 pub use time::{serialization_delay, SimTime};

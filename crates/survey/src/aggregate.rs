@@ -540,7 +540,12 @@ impl CampaignSummary {
 
     /// Parse a [`CampaignSummary::to_json`] document back into the
     /// exact state. Malformed documents are rejected field-by-field;
-    /// nothing is defaulted.
+    /// nothing is defaulted, and counts that contradict each other
+    /// are refused: `reachable` or `reordering_hosts` above `hosts`,
+    /// verdict tallies that do not sum to `hosts`, `failed + degraded`
+    /// above `hosts` or unequal to the failure taxonomy's host total,
+    /// or a technique, personality or mechanism breakdown that does
+    /// not sum to `hosts`.
     pub fn from_json(text: &str) -> Result<CampaignSummary, String> {
         let obj = Object::parse(text)?;
         let mut sum = CampaignSummary {
@@ -576,7 +581,65 @@ impl CampaignSummary {
                 return Err(format!("duplicate gap_profile row for {gap} us"));
             }
         }
+        sum.check_counts()?;
         Ok(sum)
+    }
+
+    /// The count identities [`CampaignSummary::absorb`] and
+    /// [`CampaignSummary::merge`] keep (listed on `from_json`). A
+    /// restored summary breaking one was edited or corrupted, and
+    /// `render` would subtract past zero on it. Sums are checked, so
+    /// no count can wrap.
+    fn check_counts(&self) -> Result<(), String> {
+        fn sum(counts: impl IntoIterator<Item = u64>) -> Option<u64> {
+            counts
+                .into_iter()
+                .try_fold(0u64, |acc, n| acc.checked_add(n))
+        }
+        let hosts = self.hosts;
+        for (name, n) in [
+            ("reachable", self.reachable),
+            ("reordering_hosts", self.reordering_hosts),
+        ] {
+            if n > hosts {
+                return Err(format!("{name} {n} exceeds hosts {hosts}"));
+            }
+        }
+        let verdicts = sum([
+            self.amenable,
+            self.constant_zero,
+            self.non_monotonic,
+            self.probe_failed,
+        ]);
+        if verdicts != Some(hosts) {
+            return Err(format!(
+                "ipid verdicts {}+{}+{}+{} disagree with hosts {hosts}",
+                self.amenable, self.constant_zero, self.non_monotonic, self.probe_failed
+            ));
+        }
+        let unfinished = sum([self.failed, self.degraded]).filter(|&n| n <= hosts);
+        let Some(unfinished) = unfinished else {
+            return Err(format!(
+                "failed {} + degraded {} exceed hosts {hosts}",
+                self.failed, self.degraded
+            ));
+        };
+        let classified = sum(self.failure_taxonomy.values().map(|f| f.hosts));
+        if classified != Some(unfinished) {
+            return Err(format!(
+                "failure taxonomy hosts disagree with failed + degraded {unfinished}"
+            ));
+        }
+        for (name, map) in [
+            ("by_technique", &self.by_technique),
+            ("by_personality", &self.by_personality),
+            ("by_mechanism", &self.by_mechanism),
+        ] {
+            if sum(map.values().map(|g| g.hosts)) != Some(hosts) {
+                return Err(format!("{name} host counts disagree with hosts {hosts}"));
+            }
+        }
+        Ok(())
     }
 
     /// Render the summary table (deterministic: every map is a
@@ -994,6 +1057,56 @@ mod tests {
         assert!(err.contains("duplicate `failed`"), "{err}");
         assert!(CampaignSummary::from_json(&format!("{good}}}")).is_err());
         assert!(CampaignSummary::from_json(&format!("{good}\n")).is_err());
+    }
+
+    /// Counts that contradict each other are refused at load, each
+    /// identity on its own, and no sum wraps: a summary built by
+    /// absorb and merge (failures included) loads, and the same
+    /// summary with any one count pushed out of line does not.
+    #[test]
+    fn summary_json_refuses_contradictory_counts() {
+        let cfg = crate::engine::CampaignConfig {
+            hosts: 40,
+            workers: 2,
+            samples: 3,
+            baseline: false,
+            model: crate::population::PopulationModel {
+                chaos_ppm: 300_000,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let sum = crate::engine::run_campaign(&cfg, None::<&mut Vec<u8>>)
+            .expect("no sink")
+            .summary;
+        assert!(sum.failed + sum.degraded > 0 && sum.reachable > 0);
+        sum.check_counts()
+            .expect("absorb and merge keep the identities");
+        CampaignSummary::from_json(&sum.to_json()).expect("the intact document loads");
+        type Edit = fn(&mut CampaignSummary);
+        let edits: [(&str, Edit); 11] = [
+            ("reachable", |s| s.reachable = s.hosts + 1),
+            ("reordering_hosts", |s| s.reordering_hosts = s.hosts + 1),
+            ("ipid verdicts", |s| s.amenable += 1),
+            ("ipid verdicts", |s| s.probe_failed = u64::MAX),
+            ("exceed hosts", |s| s.failed = s.hosts + 1),
+            ("exceed hosts", |s| s.degraded = u64::MAX),
+            ("failure taxonomy", |s| s.degraded += 1),
+            ("failure taxonomy", |s| s.failure_taxonomy.clear()),
+            ("by_technique", |s| {
+                s.by_technique.values_mut().for_each(|g| g.hosts += 1)
+            }),
+            ("by_personality", |s| s.by_personality.clear()),
+            ("by_mechanism", |s| {
+                s.by_mechanism.entry("dummynet").or_default().hosts = u64::MAX
+            }),
+        ];
+        for (want, edit) in edits {
+            let mut bad = sum.clone();
+            edit(&mut bad);
+            let err = CampaignSummary::from_json(&bad.to_json()).expect_err(want);
+            assert!(err.contains(want), "{want}: {err}");
+        }
     }
 
     #[test]

@@ -77,8 +77,9 @@ pub struct CampaignConfig {
     /// Population distributions.
     pub model: PopulationModel,
     /// Per-host probe budget: deadline, retry count and backoff. The
-    /// default (generous deadline, no retries) never bites cooperative
-    /// hosts, so chaos-free campaigns keep their exact bytes.
+    /// default (two simulated minutes, no retries) spares cooperative
+    /// hosts except SYN-test hosts on a long gap sweep, which it cuts
+    /// short (see [`Budget::default`]).
     pub budget: Budget,
 }
 
@@ -511,6 +512,7 @@ mod tests {
         assert_eq!(merged.counter("sched.tasks"), 12);
         assert!(merged.counter("pool.hits") > 0, "pooled run must recycle");
         assert!(merged.counter("netsim.cut_through_hops") > 0);
+        assert!(merged.counter("netsim.sink_arrivals") > 0);
         for workers in [2, 4] {
             for keep_reports in [true, false] {
                 let out = run(workers, keep_reports);
@@ -519,6 +521,7 @@ mod tests {
                     "netsim.events",
                     "netsim.calendar_overflow",
                     "netsim.cut_through_hops",
+                    "netsim.sink_arrivals",
                     "pool.hits",
                     "pool.misses",
                     "agg.absorbs",

@@ -160,8 +160,9 @@ pub struct HostJob {
     /// `Off` (the default) measures nothing — a few branches, no clock.
     pub telemetry: TelemetryMode,
     /// Per-host spending cap: simulated-time deadline, transient-retry
-    /// count and retry backoff. The default is generous enough that no
-    /// cooperative host ever notices it.
+    /// count and retry backoff. The default spares cooperative hosts
+    /// except SYN-test hosts on a long gap sweep, which it cuts short
+    /// (see [`Budget::default`]).
     pub budget: Budget,
 }
 
@@ -461,7 +462,8 @@ pub fn survey_host_pooled(
 /// [`survey_host_pooled`] with a telemetry sink: phase span durations
 /// (`host`, `amenability`, `measure`, `baseline`, `gap_sweep`) and
 /// pipeline counters (`netsim.events`, `netsim.calendar_overflow`,
-/// `netsim.cut_through_hops`, `pool.hits`, `pool.misses`) are folded
+/// `netsim.cut_through_hops`, `netsim.sink_arrivals`, `pool.hits`,
+/// `pool.misses`) are folded
 /// into `tel` according to [`HostJob::telemetry`]. With [`TelemetryMode::Off`] (the default)
 /// nothing is recorded and no clock is read — `tel` stays untouched —
 /// and in every mode the returned report is byte-identical to the
@@ -478,6 +480,7 @@ pub fn survey_host_traced(
     let events_before = pool.events_absorbed();
     let overflow_before = pool.overflow_absorbed();
     let cut_through_before = pool.cut_through_absorbed();
+    let sink_arrivals_before = pool.sink_arrivals_absorbed();
     let hits_before = pool.recycled();
     let misses_before = pool.fresh_builds();
     let host_sw = mode.start();
@@ -523,6 +526,10 @@ pub fn survey_host_traced(
         tel.count(
             "netsim.cut_through_hops",
             pool.cut_through_absorbed() - cut_through_before,
+        );
+        tel.count(
+            "netsim.sink_arrivals",
+            pool.sink_arrivals_absorbed() - sink_arrivals_before,
         );
         tel.count("pool.hits", pool.recycled() - hits_before);
         tel.count("pool.misses", pool.fresh_builds() - misses_before);

@@ -67,6 +67,9 @@ pub struct TcpHost {
     ipid: IpidGenerator,
     rng: SmallRng,
     iss_counter: u32,
+    /// Replies queued by the connection being served, reused across
+    /// segments so the receive path does not allocate.
+    out: Vec<SegmentOut>,
     /// Observability: segments received / transmitted.
     pub rx_segments: u64,
     /// Observability: packets transmitted.
@@ -88,6 +91,7 @@ impl TcpHost {
             by_flow: Vec::new(),
             rng,
             iss_counter,
+            out: Vec::new(),
             rx_segments: 0,
             tx_packets: 0,
         }
@@ -164,58 +168,53 @@ impl TcpHost {
         ctx.transmit(Port(0), pkt);
     }
 
-    fn send_rst_for(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let Some(tcp) = pkt.tcp() else { return };
-        if tcp.flags.contains(TcpFlags::RST) {
-            return; // never RST a RST
-        }
-        let data_len = pkt.tcp_data().map(|d| d.len() as u32).unwrap_or(0);
-        let seg = SegmentOut {
-            seq: if tcp.flags.contains(TcpFlags::ACK) {
-                tcp.ack
-            } else {
-                SeqNum(0)
-            },
-            ack: tcp.seq + data_len + u32::from(tcp.flags.contains(TcpFlags::SYN)),
-            flags: TcpFlags::RST | TcpFlags::ACK,
-            window: 0,
-            data: Bytes::new(),
-            options: Vec::new(),
-        };
-        self.send_segment(ctx, pkt.ip.src, (tcp.dst_port, tcp.src_port), seg);
-    }
-
-    fn handle_tcp(&mut self, ctx: &mut Ctx<'_>, pkt: &Packet) {
-        let tcp = pkt.tcp().expect("caller checked");
+    fn handle_tcp(&mut self, ctx: &mut Ctx<'_>, src: Ipv4Addr4, tcp: &TcpHeader, data: &[u8]) {
         self.rx_segments += 1;
         let flow = LocalFlow {
-            remote: pkt.ip.src,
+            remote: src,
             remote_port: tcp.src_port,
             local_port: tcp.dst_port,
         };
-        let mut out: Vec<SegmentOut> = Vec::new();
-        let mut timer = TimerReq::None;
-        let mut timer_token = 0u64;
-        if let Some(idx) = self
+        let mut out = std::mem::take(&mut self.out);
+        let timer = self.demux(flow, tcp, data, &mut out);
+        self.send_all(ctx, flow, &mut out);
+        self.out = out;
+        if let Some(token) = timer {
+            ctx.set_timer(self.cfg.personality.delayed_ack.max_delay, token);
+        }
+    }
+
+    /// Feed one segment to its connection, accept a SYN to a listening
+    /// port, or answer a closed port with a RST (if the personality
+    /// does), queueing the replies into `out`. Returns the delayed-ACK
+    /// timer token when the connection asks for that timer.
+    fn demux(
+        &mut self,
+        flow: LocalFlow,
+        tcp: &TcpHeader,
+        data: &[u8],
+        out: &mut Vec<SegmentOut>,
+    ) -> Option<u64> {
+        let known = self
             .by_flow
             .iter()
-            .find_map(|&(f, i)| (f == flow).then_some(i))
-        {
-            let mut conn = self.conns[idx].take().expect("indexed conn");
-            timer = conn.on_segment(tcp, pkt.tcp_data().unwrap_or(&[]), &mut out);
-            timer_token = (idx as u64) << 32 | (conn.ack_timer_gen & 0xffff_ffff);
-            let closed = conn.state == ConnState::Closed;
-            self.conns[idx] = Some(conn);
-            if closed {
+            .find_map(|&(f, i)| (f == flow).then_some(i));
+        if let Some(idx) = known {
+            let conn = self.conns.get_mut(idx)?.as_mut()?;
+            let timer = conn.on_segment(tcp, data, out);
+            let token = (idx as u64) << 32 | (conn.ack_timer_gen & 0xffff_ffff);
+            if conn.state == ConnState::Closed {
                 self.by_flow.retain(|&(f, _)| f != flow);
                 self.conns[idx] = None;
             }
-        } else if tcp.flags.contains(TcpFlags::SYN)
+            return (timer == TimerReq::ArmAckTimer).then_some(token);
+        }
+        if tcp.flags.contains(TcpFlags::SYN)
             && !tcp.flags.contains(TcpFlags::ACK)
             && self.cfg.ports.contains(&tcp.dst_port)
         {
             let iss = self.next_iss();
-            let conn = Conn::accept(tcp, iss, self.conn_cfg(), &mut out);
+            let conn = Conn::accept(tcp, iss, self.conn_cfg(), out);
             let idx = self
                 .conns
                 .iter()
@@ -226,17 +225,28 @@ impl TcpHost {
                 });
             self.conns[idx] = Some(conn);
             self.by_flow.push((flow, idx));
-        } else if self.cfg.personality.rst_closed_ports {
-            self.send_rst_for(ctx, pkt);
-            return;
-        } else {
-            return;
+        } else if self.cfg.personality.rst_closed_ports && !tcp.flags.contains(TcpFlags::RST) {
+            // Never RST a RST.
+            out.push(SegmentOut {
+                seq: if tcp.flags.contains(TcpFlags::ACK) {
+                    tcp.ack
+                } else {
+                    SeqNum(0)
+                },
+                ack: tcp.seq + data.len() as u32 + u32::from(tcp.flags.contains(TcpFlags::SYN)),
+                flags: TcpFlags::RST | TcpFlags::ACK,
+                window: 0,
+                data: Bytes::new(),
+                options: Vec::new(),
+            });
         }
-        for seg in out {
+        None
+    }
+
+    /// Transmit every segment in `out` on `flow`, leaving it empty.
+    fn send_all(&mut self, ctx: &mut Ctx<'_>, flow: LocalFlow, out: &mut Vec<SegmentOut>) {
+        for seg in out.drain(..) {
             self.send_segment(ctx, flow.remote, (flow.local_port, flow.remote_port), seg);
-        }
-        if timer == TimerReq::ArmAckTimer {
-            ctx.set_timer(self.cfg.personality.delayed_ack.max_delay, timer_token);
         }
     }
 }
@@ -247,7 +257,7 @@ impl Device for TcpHost {
             return; // not ours (mis-balanced or stray)
         }
         match &pkt.payload {
-            Payload::Tcp { .. } => self.handle_tcp(ctx, &pkt),
+            Payload::Tcp { header, data } => self.handle_tcp(ctx, pkt.ip.src, header, data),
             Payload::Icmp { header, data } => {
                 if self.cfg.personality.answers_icmp
                     && header.icmp_type == reorder_wire::IcmpType::EchoRequest
@@ -276,14 +286,13 @@ impl Device for TcpHost {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let idx = (token >> 32) as usize;
         let generation = token & 0xffff_ffff;
-        let Some(slot) = self.conns.get_mut(idx) else {
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        let Some(conn) = slot else { return };
         if conn.ack_timer_gen & 0xffff_ffff != generation {
             return; // stale timer
         }
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.out);
         conn.on_ack_timer(&mut out);
         // Find the flow for addressing.
         let flow = self
@@ -292,10 +301,10 @@ impl Device for TcpHost {
             .find(|&&(_, i)| i == idx)
             .map(|&(f, _)| f);
         if let Some(flow) = flow {
-            for seg in out {
-                self.send_segment(ctx, flow.remote, (flow.local_port, flow.remote_port), seg);
-            }
+            self.send_all(ctx, flow, &mut out);
         }
+        out.clear();
+        self.out = out;
     }
 
     fn name(&self) -> &str {
@@ -306,7 +315,7 @@ impl Device for TcpHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reorder_netsim::{drain, LinkParams, Mailbox, SimTime, Simulator};
+    use reorder_netsim::{drain, LinkParams, SimTime, Simulator};
     use reorder_wire::PacketBuilder;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -323,8 +332,7 @@ mod tests {
         reorder_netsim::MailboxQueue,
     ) {
         let mut sim = Simulator::new(5);
-        let (mb, q) = Mailbox::new();
-        let me = sim.add_node(Box::new(mb));
+        let (me, q) = sim.add_mailbox();
         let host = TcpHost::new(
             TcpHostConfig::web_server(SRV, personality),
             sim.master_seed(),
@@ -529,8 +537,7 @@ mod tests {
     #[test]
     fn closed_connection_slots_are_reused() {
         let mut sim = Simulator::new(5);
-        let (mb, q) = Mailbox::new();
-        let me = sim.add_node(Box::new(mb));
+        let (me, q) = sim.add_mailbox();
         let host = Rc::new(RefCell::new(TcpHost::new(
             TcpHostConfig::web_server(SRV, HostPersonality::freebsd4()),
             sim.master_seed(),

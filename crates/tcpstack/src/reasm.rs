@@ -22,32 +22,32 @@ impl ReasmQueue {
         Self::default()
     }
 
-    /// Queue an out-of-order range, merging overlaps.
+    /// Queue an out-of-order range, merging overlaps. Works in place:
+    /// the ranges it absorbs are removed and the merged range is
+    /// inserted where it sorts, so no segment allocates.
     pub fn insert(&mut self, start: SeqNum, len: u32) {
         if len == 0 {
             return;
         }
-        let end = start + len;
         let mut merged_start = start;
-        let mut merged_end = end;
-        let mut keep: Vec<(SeqNum, u32)> = Vec::with_capacity(self.ranges.len() + 1);
-        for &(s, l) in &self.ranges {
+        let mut merged_end = start + len;
+        self.ranges.retain(|&(s, l)| {
             let e = s + l;
             // Overlapping or touching?
             if e.distance_to(merged_start) > 0 || merged_end.distance_to(s) > 0 {
-                keep.push((s, l)); // disjoint
-            } else {
-                if s < merged_start {
-                    merged_start = s;
-                }
-                if e > merged_end {
-                    merged_end = e;
-                }
+                return true; // disjoint
             }
-        }
-        keep.push((merged_start, (merged_end - merged_start) as u32));
-        keep.sort_by_key(|a| a.0);
-        self.ranges = keep;
+            if s < merged_start {
+                merged_start = s;
+            }
+            if e > merged_end {
+                merged_end = e;
+            }
+            false
+        });
+        let at = self.ranges.partition_point(|r| r.0 <= merged_start);
+        self.ranges
+            .insert(at, (merged_start, (merged_end - merged_start) as u32));
     }
 
     /// Given that contiguous data now extends to `rcv_nxt`, consume any

@@ -31,6 +31,18 @@ impl NaiveReasm {
         self.bytes = self.bytes.split_off(&edge);
         edge
     }
+
+    /// Maximal runs of held bytes, ascending: the SACK blocks.
+    fn runs(&self) -> Vec<(u64, u32)> {
+        let mut runs: Vec<(u64, u32)> = Vec::new();
+        for &b in &self.bytes {
+            match runs.last_mut() {
+                Some((start, len)) if *start + u64::from(*len) == b => *len += 1,
+                _ => runs.push((b, 1)),
+            }
+        }
+        runs
+    }
 }
 
 proptest! {
@@ -78,6 +90,12 @@ proptest! {
                 }
             }
             prop_assert_eq!(real.is_empty(), naive.bytes.is_empty());
+            let blocks: Vec<(u64, u32)> = real
+                .blocks()
+                .iter()
+                .map(|&(s, l)| (u64::from(s.raw()), l))
+                .collect();
+            prop_assert_eq!(blocks, naive.runs(), "blocks diverged");
         }
     }
 }

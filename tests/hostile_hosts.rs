@@ -77,12 +77,11 @@ fn load_balancer_defeats_dual_but_not_syn() {
 #[test]
 fn per_packet_balancer_survived() {
     use reorder_netsim::pipes::{BalanceMode, LoadBalancer, DOWN, UP};
-    use reorder_netsim::{LinkParams, Mailbox, Port, Simulator};
+    use reorder_netsim::{LinkParams, Port, Simulator};
     use reorder_tcpstack::{TcpHost, TcpHostConfig};
 
     let mut sim = Simulator::new(13_000);
-    let (mb, queue) = Mailbox::new();
-    let me = sim.add_node(Box::new(mb));
+    let (me, queue) = sim.add_mailbox();
     let fwd = sim.add_node(Box::new(reorder_netsim::pipes::Forwarder::new()));
     let lb = sim.add_node(Box::new(LoadBalancer::new(BalanceMode::PerPacket, 2)));
     sim.connect(me, Port(0), fwd, UP, LinkParams::lan());
